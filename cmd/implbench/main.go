@@ -1039,74 +1039,61 @@ func e18() map[string]float64 {
 // ---------------------------------------------------------------- E19
 
 // e19 measures partition-routed value-index probes: fabric messages per
-// value-equality lookup as the cluster grows, routed (the design) vs
-// broadcast (the pre-router behavior, the BroadcastValueProbes
-// ablation). The corpus is deliberately heterogeneous — many sources,
-// each with its own field — so a predicate's path has postings in only
-// the handful of partitions holding that source's documents. The router
-// prunes by per-partition path statistics, so probe fan-out follows the
-// data (≈ docs-per-source partitions), not the cluster size, while the
-// broadcast pays one value-index probe per data node.
+// value-equality lookup as the cluster grows. The corpus is deliberately
+// heterogeneous — many sources, each with its own field — so a
+// predicate's path has postings in only the handful of partitions
+// holding that source's documents. The router prunes by per-partition
+// path statistics, so probe fan-out follows the data (≈ docs-per-source
+// partitions), not the cluster size; a broadcast would pay one
+// value-index probe per data node (2N messages plus the fetch).
 func e19() map[string]float64 {
 	const sources, docsPerSource, lookups = 200, 5, 120
 	metrics := map[string]float64{}
 	mismatches := 0.0
-	fmt.Printf("%-10s %22s %24s %18s\n", "dataNodes", "routed msgs/lookup", "broadcast msgs/lookup", "pruned parts/op")
+	fmt.Printf("%-10s %22s %18s\n", "dataNodes", "routed msgs/lookup", "pruned parts/op")
 	for _, n := range []int{4, 8, 16} {
-		var msgsPer [2]float64 // routed, broadcast
-		var prunedPer float64
-		for mode := 0; mode < 2; mode++ {
-			broadcast := mode == 1
-			app := mustOpen(func(c *impliance.Config) {
-				c.DataNodes = n
-				c.BroadcastValueProbes = broadcast
-			})
-			for s := 0; s < sources; s++ {
-				for i := 0; i < docsPerSource; i++ {
-					if _, err := app.Ingest(impliance.Item{
-						Body: impliance.Object(
-							impliance.F(fmt.Sprintf("f%03d", s), impliance.Int(int64(i))),
-							impliance.F("note", impliance.String(fmt.Sprintf("source %03d record %d", s, i))),
-						),
-						MediaType: "relational/row",
-						Source:    fmt.Sprintf("feed-%03d", s),
-					}); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}
-			app.Drain()
-			eng := app.Engine()
-			eng.Fabric().ResetNetStats()
-			_, _, prunedBefore, _ := eng.ValueProbeStats()
-			for i := 0; i < lookups; i++ {
-				path := fmt.Sprintf("/f%03d", (i*37)%sources)
-				res, err := app.Run(impliance.Query{
-					Filter: impliance.Cmp(path, impliance.OpEq, impliance.Int(int64(i%docsPerSource))),
-				})
-				if err != nil {
+		app := mustOpen(func(c *impliance.Config) { c.DataNodes = n })
+		for s := 0; s < sources; s++ {
+			for i := 0; i < docsPerSource; i++ {
+				if _, err := app.Ingest(impliance.Item{
+					Body: impliance.Object(
+						impliance.F(fmt.Sprintf("f%03d", s), impliance.Int(int64(i))),
+						impliance.F("note", impliance.String(fmt.Sprintf("source %03d record %d", s, i))),
+					),
+					MediaType: "relational/row",
+					Source:    fmt.Sprintf("feed-%03d", s),
+				}); err != nil {
 					log.Fatal(err)
 				}
-				// Every (source, record) pair is unique: a correct lookup
-				// returns exactly one document in either mode.
-				if len(res.Rows) != 1 {
-					mismatches++
-				}
 			}
-			msgsPer[mode] = float64(eng.Fabric().NetStats().Messages) / lookups
-			if !broadcast {
-				_, _, pruned, _ := eng.ValueProbeStats()
-				prunedPer = float64(pruned-prunedBefore) / lookups
-			}
-			app.Close()
 		}
-		fmt.Printf("%-10d %22.1f %24.1f %18.1f\n", n, msgsPer[0], msgsPer[1], prunedPer)
-		metrics[fmt.Sprintf("routed_msgs_per_lookup_%dn", n)] = msgsPer[0]
-		metrics[fmt.Sprintf("broadcast_msgs_per_lookup_%dn", n)] = msgsPer[1]
+		app.Drain()
+		eng := app.Engine()
+		eng.Fabric().ResetNetStats()
+		_, _, prunedBefore, _ := eng.ValueProbeStats()
+		for i := 0; i < lookups; i++ {
+			path := fmt.Sprintf("/f%03d", (i*37)%sources)
+			res, err := app.Run(impliance.Query{
+				Filter: impliance.Cmp(path, impliance.OpEq, impliance.Int(int64(i%docsPerSource))),
+			})
+			if err != nil {
+				log.Fatal(err)
+			}
+			// Every (source, record) pair is unique: a correct lookup
+			// returns exactly one document.
+			if len(res.Rows) != 1 {
+				mismatches++
+			}
+		}
+		msgsPer := float64(eng.Fabric().NetStats().Messages) / lookups
+		_, _, pruned, _ := eng.ValueProbeStats()
+		app.Close()
+		fmt.Printf("%-10d %22.1f %18.1f\n", n, msgsPer, float64(pruned-prunedBefore)/lookups)
+		metrics[fmt.Sprintf("routed_msgs_per_lookup_%dn", n)] = msgsPer
 	}
 	metrics["result_mismatches"] = mismatches
-	fmt.Println("shape: routed probes follow the predicate's partitions (~flat in cluster size);")
-	fmt.Println("       the broadcast pays one value-index probe per node and grows linearly")
+	fmt.Println("shape: routed probes follow the predicate's partitions (~flat in cluster size),")
+	fmt.Println("       below the one-probe-per-node cost a broadcast pays (N probes)")
 	return metrics
 }
 

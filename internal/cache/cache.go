@@ -222,10 +222,6 @@ func (c *Caches) PointEnabled() bool { return c != nil && c.point != nil }
 // NegativeEnabled reports whether the negative cache is active.
 func (c *Caches) NegativeEnabled() bool { return c != nil && c.negative != nil }
 
-// PartialEnabled reports whether the facet/aggregate partial cache is
-// active.
-func (c *Caches) PartialEnabled() bool { return c != nil && c.partial != nil }
-
 // Epoch returns the partition's write epoch. Read-through callers
 // capture it before fetching and pass it back to the fill so a write
 // racing the fetch voids the fill instead of pinning a stale value.

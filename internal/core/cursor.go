@@ -193,12 +193,28 @@ func (e *Engine) RunStream(ctx context.Context, q plan.Query, opts ...CallOption
 	limit := q.K
 
 	streamable := p.Access.Kind == plan.AccessScan &&
-		p.Join == plan.JoinNone && p.GroupBy == nil && p.OrderBy == nil &&
-		!e.cfg.DisablePushdown
+		p.Join == plan.JoinNone && p.GroupBy == nil && p.OrderBy == nil
 
 	work := func() {
 		if streamable {
-			c.finish(e.streamScan(sctx, p.Residual, limit, c))
+			// The pushed-down filter is dispatched a bounded window of
+			// nodes (streamInFlight) at a time and each node's matching
+			// rows are delivered page by page as they arrive —
+			// time-to-first-row waits on no node's full partial. A
+			// satisfied limit stops scheduling the rest of the ring.
+			emitted := 0
+			c.finish(e.scanPartitions(sctx, p.Residual, streamInFlight, func(page []*docmodel.Document) bool {
+				for _, d := range page {
+					if !c.emit(sctx, &exec.Row{Docs: []*docmodel.Document{d}}) {
+						return false
+					}
+					emitted++
+					if limit > 0 && emitted >= limit {
+						return false
+					}
+				}
+				return true
+			}))
 			return
 		}
 		rows, err := e.execute(sctx, p, q, o)
@@ -237,91 +253,4 @@ func (e *Engine) RunStream(ctx context.Context, q plan.Query, opts ...CallOption
 		return nil, err
 	}
 	return c, nil
-}
-
-// streamScan is the incremental scan behind streaming cursors: the
-// pushed-down filter is dispatched to the ring a bounded window
-// (streamInFlight) at a time, and each node's matching rows are
-// delivered page by page as they arrive — time-to-first-row no longer
-// waits on any node's full partial, and no reply ever exceeds a page.
-// Cancellation (or a satisfied limit) stops scheduling the remaining
-// nodes; in-flight calls are abandoned by the context.
-func (e *Engine) streamScan(ctx context.Context, filter expr.Expr, limit int, c *Cursor) error {
-	payload := filter.Encode()
-	nodes := e.ringNodes()
-	next, inFlight := 0, 0
-	// Fan-out shedding: node calls never dispatched because the
-	// caller's deadline/cancellation arrived first are counted, not
-	// issued. (A satisfied limit also leaves nodes undispatched, but
-	// the ctx is alive then — that's completion, not shedding.)
-	defer func() {
-		if ctx.Err() != nil && next < len(nodes) {
-			e.streamShed.Add(uint64(len(nodes) - next))
-		}
-	}()
-	type partial struct {
-		docs []*docmodel.Document
-		err  error
-		done bool // node finished (err says how)
-	}
-	// Buffered so a node goroutine racing cancellation can always post
-	// its final done marker without blocking; page sends still apply
-	// backpressure through the ctx.Done select below.
-	replies := make(chan partial, len(nodes)+streamInFlight)
-	send := func(pr partial) bool {
-		select {
-		case replies <- pr:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	dispatch := func() {
-		for inFlight < streamInFlight && next < len(nodes) && ctx.Err() == nil {
-			dn := nodes[next]
-			next++
-			inFlight++
-			go func() {
-				_, err := e.scanNodePaged(ctx, dn, msgScanFiltered, payload,
-					func(docs []*docmodel.Document) error {
-						if !send(partial{docs: docs}) {
-							return ctx.Err()
-						}
-						return nil
-					})
-				replies <- partial{err: err, done: true} // buffered: never blocks
-			}()
-		}
-	}
-	dispatch()
-	seen := map[docmodel.DocID]struct{}{}
-	emitted := 0
-	for inFlight > 0 {
-		pr := <-replies
-		if pr.done {
-			inFlight--
-			if pr.err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return pr.err
-			}
-			dispatch()
-			continue
-		}
-		for _, d := range pr.docs {
-			if _, dup := seen[d.ID]; dup {
-				continue // replicas: deliver each document once
-			}
-			seen[d.ID] = struct{}{}
-			if !c.emit(ctx, &exec.Row{Docs: []*docmodel.Document{d}}) {
-				return ctx.Err()
-			}
-			emitted++
-			if limit > 0 && emitted >= limit {
-				return nil // satisfied: stop scheduling the rest of the ring
-			}
-		}
-	}
-	return ctx.Err()
 }

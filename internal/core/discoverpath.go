@@ -140,7 +140,7 @@ func (e *Engine) collectMentions() ([]discovery.Mention, error) {
 // latestBaseDocs returns the deduplicated latest versions of all
 // non-annotation documents.
 func (e *Engine) latestBaseDocs(ctx context.Context) ([]*docmodel.Document, error) {
-	return e.distributedScan(ctx, expr.Not(expr.MediaTypeIs(annot.MediaAnnotation)))
+	return e.scanDocs(ctx, expr.Not(expr.MediaTypeIs(annot.MediaAnnotation)))
 }
 
 // acquireClusterLock takes a named lock through the cluster leader's lock

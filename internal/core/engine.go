@@ -16,7 +16,6 @@ import (
 	"impliance/internal/cache"
 	"impliance/internal/discovery"
 	"impliance/internal/docmodel"
-	"impliance/internal/expr"
 	"impliance/internal/fabric"
 	"impliance/internal/index"
 	"impliance/internal/plan"
@@ -117,10 +116,6 @@ type Config struct {
 	// of the simple planner (E7 comparator). Statistics must be collected
 	// with CollectStatistics; they go stale on purpose.
 	UseCostOptimizer bool
-	// BroadcastValueProbes disables the partition-routed value-index
-	// probe router and fans every value lookup out to all data nodes
-	// (E19 ablation; the design routes by partition path statistics).
-	BroadcastValueProbes bool
 
 	// --- Hot-path caches (docs/ARCHITECTURE.md "Hot-path caches") ---
 
@@ -775,8 +770,12 @@ func (e *Engine) recoverFromStores() {
 			}
 		}
 	}
+	pl := newPartPlan(e, false)
+	for p := 0; p < e.smgr.Partitions(); p++ {
+		pl.answering(p)
+	}
 	for _, dn := range e.dataNodes() {
-		for _, id := range e.smgr.DocsInPartitions(e.answeringPartitions(dn)) {
+		for _, id := range e.smgr.DocsInPartitions(pl.targets[dn]) {
 			d, err := dn.store.Get(id)
 			if err != nil {
 				continue
@@ -859,34 +858,6 @@ func (e *Engine) routeNewDoc(id docmodel.DocID, class virt.DataClass) (primary *
 // missed writes.
 func (e *Engine) eligible(dn *dataNode) bool {
 	return dn.node.Alive() && !dn.dirty.Load()
-}
-
-// answeringPartitions reports, per partition, whether the node is the
-// partition's current answering owner (first alive owner). Scan-side
-// handlers compute it once per request, then filter their store with an
-// O(1) per-document check — the partition map's replacement for the old
-// per-node owned maps.
-func (e *Engine) answeringPartitions(dn *dataNode) []bool {
-	alive := func(id fabric.NodeID) bool {
-		n, ok := e.dataNode(id)
-		return ok && e.eligible(n)
-	}
-	out := make([]bool, e.smgr.Partitions())
-	for p := range out {
-		if owner, ok := e.smgr.AnsweringNode(p, alive); ok && owner == dn.node.ID {
-			out[p] = true
-		}
-	}
-	return out
-}
-
-// scanOwned streams the latest version of every document the node
-// currently answers for — the registered documents of its answering
-// partitions — applying the pushed-down filter. Replica copies are never
-// visited, so a node's scan work is its owned share of the corpus.
-func (e *Engine) scanOwned(dn *dataNode, filter expr.Expr, fn func(*docmodel.Document) bool) {
-	ids := e.smgr.DocsInPartitions(e.answeringPartitions(dn))
-	dn.store.ScanSubset(ids, filter, fn)
 }
 
 // CompactStores re-frames every data node's persistent store with the

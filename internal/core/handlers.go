@@ -27,7 +27,6 @@ const (
 	msgGet          = "get"            // data: fetch latest version by id
 	msgGetBatch     = "get-batch"      // data: fetch many latest versions
 	msgScanFiltered = "scan-filtered"  // data: pushed-down filtered scan
-	msgScanAll      = "scan-all"       // data: full scan (pushdown ablation)
 	msgAggPartial   = "agg-partial"    // data: pushed-down partial aggregate
 	msgSearch       = "search"         // data: ranked keyword search
 	msgValueLookup  = "value-lookup"   // data: value index eq/range probe
@@ -144,20 +143,14 @@ func (e *Engine) dataHandler(dn *dataNode) fabric.Handler {
 			}
 			return encodeDocs(docs), nil
 
-		case msgScanFiltered, msgScanAll:
+		case msgScanFiltered:
 			var req scanReq
-			if len(payload) > 0 {
-				if err := json.Unmarshal(payload, &req); err != nil {
-					return nil, err
-				}
+			if err := json.Unmarshal(payload, &req); err != nil {
+				return nil, err
 			}
-			filter := expr.True()
-			if kind == msgScanFiltered {
-				f, err := expr.Decode(req.Filter)
-				if err != nil {
-					return nil, err
-				}
-				filter = f
+			filter, err := expr.Decode(req.Filter)
+			if err != nil {
+				return nil, err
 			}
 			return e.scanPageReply(dn, filter, req)
 
@@ -170,27 +163,19 @@ func (e *Engine) dataHandler(dn *dataNode) fabric.Handler {
 			if err != nil {
 				return nil, err
 			}
-			if req.Parts != nil {
-				// Routed form: one partial per requested partition, so the
-				// engine can cache each partition's contribution under its
-				// own routing generation.
-				out := make([]aggPartialWire, 0, len(req.Parts))
-				for _, p := range req.Parts {
-					g := expr.NewGroupState(req.spec())
-					dn.store.ScanSubset(e.smgr.DocsInPartition(p), filter, func(d *docmodel.Document) bool {
-						g.Update(d)
-						return true
-					})
-					out = append(out, aggPartialWire{Part: p, Partial: g.EncodePartials()})
-				}
-				return mustJSON(out), nil
+			// One partial per requested partition, so the engine can cache
+			// each partition's contribution under its own routing
+			// generation.
+			out := make([]aggPartialWire, 0, len(req.Parts))
+			for _, p := range req.Parts {
+				g := expr.NewGroupState(req.spec())
+				dn.store.ScanSubset(e.smgr.DocsInPartition(p), filter, func(d *docmodel.Document) bool {
+					g.Update(d)
+					return true
+				})
+				out = append(out, aggPartialWire{Part: p, Partial: g.EncodePartials()})
 			}
-			g := expr.NewGroupState(req.spec())
-			e.scanOwned(dn, filter, func(d *docmodel.Document) bool {
-				g.Update(d)
-				return true
-			})
-			return g.EncodePartials(), nil
+			return mustJSON(out), nil
 
 		case msgSearch:
 			var req searchReq
@@ -247,35 +232,24 @@ func (e *Engine) dataHandler(dn *dataNode) fabric.Handler {
 			if err := json.Unmarshal(payload, &req); err != nil {
 				return nil, err
 			}
-			var candidates map[docmodel.DocID]struct{}
-			if !req.All {
-				ids, err := parseIDs(req.IDs)
-				if err != nil {
-					return nil, err
-				}
-				candidates = map[docmodel.DocID]struct{}{}
-				for _, id := range ids {
-					candidates[id] = struct{}{}
-				}
+			ids, err := parseIDs(req.IDs)
+			if err != nil {
+				return nil, err
 			}
-			if req.Parts != nil {
-				// Routed form: count each requested partition separately so
-				// the engine can cache per-partition partials.
-				out := make([]facetPartialWire, 0, len(req.Parts))
-				for _, p := range req.Parts {
-					fc := dn.ix.FacetsIn([]int{p}, req.Path, candidates, 0)
-					ws := make([]facetBucketWire, len(fc))
-					for i, b := range fc {
-						ws[i] = facetBucketWire{Value: docmodel.EncodeValue(b.Value), Count: b.Count}
-					}
-					out = append(out, facetPartialWire{Part: p, Buckets: ws})
-				}
-				return mustJSON(out), nil
+			candidates := make(map[docmodel.DocID]struct{}, len(ids))
+			for _, id := range ids {
+				candidates[id] = struct{}{}
 			}
-			fc := dn.ix.Facets(req.Path, candidates, req.Limit)
-			out := make([]facetBucketWire, len(fc))
-			for i, b := range fc {
-				out[i] = facetBucketWire{Value: docmodel.EncodeValue(b.Value), Count: b.Count}
+			// Count each requested partition separately so the engine can
+			// cache per-partition partials.
+			out := make([]facetPartialWire, 0, len(req.Parts))
+			for _, p := range req.Parts {
+				fc := dn.ix.FacetsIn([]int{p}, req.Path, candidates, 0)
+				ws := make([]facetBucketWire, len(fc))
+				for i, b := range fc {
+					ws[i] = facetBucketWire{Value: docmodel.EncodeValue(b.Value), Count: b.Count}
+				}
+				out = append(out, facetPartialWire{Part: p, Buckets: ws})
 			}
 			return mustJSON(out), nil
 
@@ -285,36 +259,27 @@ func (e *Engine) dataHandler(dn *dataNode) fabric.Handler {
 	}
 }
 
-// scanPageReply serves one page of a data node's owned scan: resolve the
-// resume token against the node's current owned-ID list, scan forward
-// collecting at most req.Page matches, and frame the page with the next
-// token. The token names the last *examined* position, not the last
-// match, so a page of non-matching documents still advances the cursor.
+// scanPageReply serves one page of a data node's scan of the partitions
+// it was sent: resolve the resume token against the partitions' current
+// sorted ID list, scan forward collecting at most req.Page matches, and
+// frame the page with the next token. The token names the last
+// *examined* document, not the last match, so a page of non-matching
+// documents still advances the cursor.
 func (e *Engine) scanPageReply(dn *dataNode, filter expr.Expr, req scanReq) ([]byte, error) {
-	ids := e.smgr.DocsInPartitions(e.answeringPartitions(dn))
+	ids := e.smgr.DocsInPartitions(req.Parts)
 	start := 0
 	if req.AfterID != "" {
 		after, err := docmodel.ParseDocID(req.AfterID)
 		if err != nil {
 			return nil, err
 		}
-		if req.AfterPos >= 0 && req.AfterPos < len(ids) && ids[req.AfterPos] == after {
-			start = req.AfterPos + 1
-		} else {
-			// The owned set shifted under the cursor (membership change,
-			// new registrations ahead of the position): find the ID; if it
-			// vanished, restart from the top — the caller dedups.
-			for i, id := range ids {
-				if id == after {
-					start = i + 1
-					break
-				}
-			}
-		}
+		// The list may have shifted under the cursor (registrations, the
+		// token's own document deleted): resume at the first ID past it.
+		start = sort.Search(len(ids), func(i int) bool { return ids[i].Compare(after) > 0 })
 	}
 	var docs []*docmodel.Document
 	more := false
-	lastPos := start - 1
+	var lastID docmodel.DocID
 	for i := start; i < len(ids); i++ {
 		if req.Page > 0 && len(docs) >= req.Page {
 			more = true
@@ -324,43 +289,9 @@ func (e *Engine) scanPageReply(dn *dataNode, filter expr.Expr, req scanReq) ([]b
 			docs = append(docs, d)
 			return true
 		})
-		lastPos = i
+		lastID = ids[i]
 	}
-	var lastID docmodel.DocID
-	if lastPos >= 0 && lastPos < len(ids) {
-		lastID = ids[lastPos]
-	}
-	return encodeScanPage(docs, more, lastPos, lastID), nil
-}
-
-// scanNodePaged drives one node's paged scan to completion. With onPage
-// set, each page is handed over as it arrives (streaming) and the
-// returned slice is nil; otherwise pages are collected and returned.
-func (e *Engine) scanNodePaged(ctx context.Context, dn *dataNode, kind string, filter []byte,
-	onPage func([]*docmodel.Document) error) ([]*docmodel.Document, error) {
-	req := scanReq{Filter: filter, Page: e.scanPageSize()}
-	var out []*docmodel.Document
-	for {
-		raw, err := e.fab.CallCtx(ctx, dn.node.ID, kind, mustJSON(req))
-		if err != nil {
-			return nil, err
-		}
-		docs, more, pos, lastID, err := decodeScanPage(raw)
-		if err != nil {
-			return nil, err
-		}
-		if onPage != nil {
-			if err := onPage(docs); err != nil {
-				return nil, err
-			}
-		} else {
-			out = append(out, docs...)
-		}
-		if !more {
-			return out, nil
-		}
-		req.AfterPos, req.AfterID = pos, lastID.String()
-	}
+	return encodeScanPage(docs, more, lastID), nil
 }
 
 // gridHandler serves grid-node computations (merge phases).
@@ -477,7 +408,7 @@ func (e *Engine) searchAllNodes(ctx context.Context, keyword string, k int) ([]i
 		return nil, nil
 	}
 	payload := mustJSON(searchReq{Terms: terms, K: k})
-	results, err := e.fanOutData(ctx, msgSearch, func(*dataNode) []byte { return payload })
+	results, err := e.callEach(ctx, e.ringNodes(), msgSearch, func(*dataNode) []byte { return payload })
 	if err != nil {
 		return nil, err
 	}
@@ -512,16 +443,11 @@ func hitLess(a, b index.Hit) bool {
 	return a.ID.Compare(b.ID) < 0
 }
 
-// fanOutData calls every alive ring-member data node concurrently and
-// gathers raw replies in node order. Nodes recovery removed from the
-// ring are excluded even when revived: their stores and indexes hold
-// entries whose ownership moved, and fanning them in would double-count
-// facets and surface stale index answers.
-func (e *Engine) fanOutData(ctx context.Context, kind string, payloadFor func(*dataNode) []byte) ([][]byte, error) {
-	return e.callEach(ctx, e.ringNodes(), kind, payloadFor)
-}
-
 // ringNodes lists the alive ring-member data nodes — the fan-out set.
+// Nodes recovery removed from the ring are excluded even when revived:
+// their stores and indexes hold entries whose ownership moved, and
+// fanning them in would double-count facets and surface stale index
+// answers.
 func (e *Engine) ringNodes() []*dataNode {
 	alive := make([]*dataNode, 0, len(e.dataNodes()))
 	for _, dn := range e.dataNodes() {
@@ -534,7 +460,7 @@ func (e *Engine) ringNodes() []*dataNode {
 
 // callEach calls each node concurrently with its payload and gathers
 // raw replies in node order, failing on the first error — the shared
-// scatter-gather under fanOutData and the routed value probe. A
+// scatter-gather under the keyword fan-out and the routed scatter. A
 // cancelled context stops the scatter before un-dispatched calls are
 // sent and abandons the in-flight ones (fabric.CallCtx), so a dead
 // caller stops consuming the interconnect.

@@ -375,7 +375,7 @@ func TestRevivedNodeQuarantinedUntilRecovery(t *testing.T) {
 			t.Errorf("doc %s unreadable after bare revival: %v", id, err)
 		}
 	}
-	docs, err := e.distributedScan(context.Background(), expr.True())
+	docs, err := e.scanDocs(context.Background(), expr.True())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,6 +438,47 @@ func TestFacetsDoNotDoubleCountAfterRevival(t *testing.T) {
 	}
 	if len(rows) != n {
 		t.Errorf("search after revival = %d/%d", len(rows), n)
+	}
+}
+
+// TestFacetsCountQuarantinedHoldersPostings: a node revived without
+// recovery is quarantined from store reads (it missed writes) but still
+// holds the postings of everything it indexed before the outage, and
+// nothing else holds them until recovery re-indexes. Keyword search
+// already reaches it (it is an alive ring member); the facet router must
+// too, or the bucket counts fall below the candidate total.
+func TestFacetsCountQuarantinedHoldersPostings(t *testing.T) {
+	e := testEngine(t, func(c *Config) { c.DataNodes = 4 })
+	ingest := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := e.Ingest(catItem(fmt.Sprintf("facet corpus entry %d", i), []string{"a", "b"}[i%2])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.DrainBackground()
+	}
+	ingest(30)
+	victim := e.dataNodes()[1]
+	e.fab.Kill(victim.node.ID)
+	ingest(30)
+	if !victim.dirty.Load() {
+		t.Fatal("victim missed replica writes but was not quarantined")
+	}
+	e.fab.Revive(victim.node.ID) // no heartbeat: revived without recovery
+
+	res, err := e.Facets(query.FacetRequest{Keyword: "facet", Dimensions: []string{"/cat"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Total != 60 {
+		t.Fatalf("facet total = %d, want 60", res.Total)
+	}
+	sum := 0
+	for _, b := range res.Dimensions[0].Buckets {
+		sum += b.Count
+	}
+	if sum != res.Total {
+		t.Errorf("facet counts sum to %d, total %d (quarantined holder's postings dropped)", sum, res.Total)
 	}
 }
 
@@ -521,7 +562,7 @@ func TestRejoinServesPointOpsWithZeroMisses(t *testing.T) {
 	if len(rows) != len(ids) {
 		t.Errorf("search after re-join = %d/%d", len(rows), len(ids))
 	}
-	docs, err := e.distributedScan(context.Background(), expr.True())
+	docs, err := e.scanDocs(context.Background(), expr.True())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,7 +823,7 @@ func TestAddDataNodeGrowsCluster(t *testing.T) {
 	if primaries == 0 {
 		t.Error("new node is primary for nothing after joining")
 	}
-	docs, err := e.distributedScan(context.Background(), expr.True())
+	docs, err := e.scanDocs(context.Background(), expr.True())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -947,7 +988,7 @@ func TestScanStillReachesAllNodes(t *testing.T) {
 	}
 	e.DrainBackground()
 	before := handledByNode(e)
-	docs, err := e.distributedScan(context.Background(), expr.True())
+	docs, err := e.scanDocs(context.Background(), expr.True())
 	if err != nil {
 		t.Fatal(err)
 	}

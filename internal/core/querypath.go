@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"impliance/internal/baseline/costopt"
 	"impliance/internal/docmodel"
 	"impliance/internal/exec"
 	"impliance/internal/expr"
-	"impliance/internal/fabric"
 	"impliance/internal/index"
 	"impliance/internal/plan"
 	"impliance/internal/query"
@@ -184,7 +182,7 @@ func (e *Engine) gather(ctx context.Context, p *plan.Plan, o callOpts) (exec.Ope
 		return &rowSource{rows: rows}, nil
 
 	case plan.AccessScan:
-		docs, err := e.distributedScan(ctx, p.Residual)
+		docs, err := e.scanDocs(ctx, p.Residual)
 		if err != nil {
 			return nil, err
 		}
@@ -199,76 +197,18 @@ func (e *Engine) gather(ctx context.Context, p *plan.Plan, o callOpts) (exec.Ope
 	}
 }
 
-// distributedScan runs the (possibly pushed-down) scan on every data node
-// and returns deduplicated latest versions. With pushdown the filter runs
-// inside the storage nodes and only matches cross the interconnect; the
-// ablation ships everything and filters engine-side (adaptively). Each
-// node is paged through independently (scanNodePaged), so no single
-// reply — and no node-side buffer — ever holds more than a page.
-func (e *Engine) distributedScan(ctx context.Context, filter expr.Expr) ([]*docmodel.Document, error) {
-	kind := msgScanFiltered
-	var payload []byte
-	if e.cfg.DisablePushdown {
-		kind = msgScanAll
-	} else {
-		payload = filter.Encode()
-	}
-	nodes := e.ringNodes()
-	perNode := make([][]*docmodel.Document, len(nodes))
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, dn := range nodes {
-		wg.Add(1)
-		go func(i int, dn *dataNode) {
-			defer wg.Done()
-			perNode[i], errs[i] = e.scanNodePaged(ctx, dn, kind, payload, nil)
-		}(i, dn)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	seen := map[docmodel.DocID]struct{}{}
-	var docs []*docmodel.Document
-	for _, batch := range perNode {
-		for _, d := range batch {
-			if _, dup := seen[d.ID]; dup {
-				continue // replicas: count each document once
-			}
-			seen[d.ID] = struct{}{}
-			if e.cfg.DisablePushdown && !filter.Eval(d) {
-				continue
-			}
-			docs = append(docs, d)
-		}
-	}
-	sortDocs(docs)
-	return docs, nil
-}
-
 // distributedAggregate runs two-phase aggregation: partials on data
 // nodes, merge on a grid node, finalize here.
 //
-// With the partial cache enabled the data-node phase is partition-routed:
-// each partition's partial is computed by its answering owner and cached
-// under the partition's routing generation and write epoch, so a repeated
-// aggregate recomputes only the partitions that changed (wrote or moved)
-// since the last run — the rest merge from cache without touching the
-// fabric. With the cache disabled, or under persistent churn, the legacy
-// node-level fan-out runs unchanged.
+// The data-node phase is partition-routed: each partition's partial is
+// computed by its answering owner and cached under the partition's
+// routing generation and write epoch, so a repeated aggregate recomputes
+// only the partitions that changed (wrote or moved) since the last run —
+// the rest merge from cache without touching the fabric.
 func (e *Engine) distributedAggregate(ctx context.Context, filter expr.Expr, spec expr.GroupSpec) ([]*exec.Row, error) {
 	req := specToWire(spec)
 	req.Filter = filter.Encode()
-	var partials [][]byte
-	var err error
-	if e.caches.PartialEnabled() {
-		partials, err = e.aggPartials(ctx, req)
-	} else {
-		payload := mustJSON(req)
-		partials, err = e.fanOutData(ctx, msgAggPartial, func(*dataNode) []byte { return payload })
-	}
+	partials, err := e.aggPartials(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -296,23 +236,24 @@ func (e *Engine) distributedAggregate(ctx context.Context, filter expr.Expr, spe
 	return rows, nil
 }
 
+// partialFill is what a cache fill of one partition's partial must
+// present: the key digest plus the routing generation and write epoch
+// captured before the partial was requested.
+type partialFill struct{ digest, pgen, epoch uint64 }
+
 // aggPartials gathers one aggregate partial per non-empty partition,
-// serving cached ones and fanning out to the answering owners only for
-// the rest. Partitions inside an open hand-off window are computed (by
-// their pre-change answering owner, whose data is complete) but not
-// cached. The plan → probe window is bracketed by the membership
-// generation like the value-probe router; persistent churn degrades to
-// the legacy node-level broadcast.
+// serving cached ones and asking the answering owners only for the rest
+// (scatter.go). Partitions inside an open hand-off window are computed
+// (by their pre-change answering owner, whose data is complete) but not
+// cached.
 func (e *Engine) aggPartials(ctx context.Context, req aggReq) ([][]byte, error) {
 	digest := aggDigest(req)
-	for attempt := 0; ; attempt++ {
-		gen := e.smgr.MembershipGeneration()
-		type fill struct{ pgen, epoch uint64 }
-		var (
-			out     [][]byte
-			targets = map[*dataNode][]int{}
-			fills   = map[int]fill{}
-		)
+	var (
+		out   [][]byte
+		fills map[int]partialFill
+	)
+	replies, settled, err := e.scatter(ctx, msgAggPartial, func(pl *partPlan) {
+		out, fills = nil, map[int]partialFill{}
 		for p := 0; p < e.smgr.Partitions(); p++ {
 			pgen := e.smgr.PartitionGen(p)
 			if data, ok := e.caches.GetPartial(p, digest, pgen); ok {
@@ -323,55 +264,31 @@ func (e *Engine) aggPartials(ctx context.Context, req aggReq) ([][]byte, error) 
 				continue // nothing registered there: no partial to compute
 			}
 			epoch := e.caches.Epoch(p)
-			dn, ok := e.answeringDataNode(p)
-			if !ok {
-				continue // no reachable owner: the node fan-out could not cover it either
-			}
-			targets[dn] = append(targets[dn], p)
-			if !e.smgr.InHandoff(p) {
-				fills[p] = fill{pgen: pgen, epoch: epoch}
+			if pl.answering(p) && !e.smgr.InHandoff(p) {
+				fills[p] = partialFill{digest, pgen, epoch}
 			}
 		}
-		if len(targets) == 0 {
-			return out, nil
-		}
-		nodes := make([]*dataNode, 0, len(targets))
-		for dn := range targets {
-			nodes = append(nodes, dn)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].node.ID.Num < nodes[j].node.ID.Num })
-		payloads := make(map[*dataNode][]byte, len(nodes))
-		for _, dn := range nodes {
-			r := req
-			r.Parts = targets[dn]
-			sort.Ints(r.Parts)
-			payloads[dn] = mustJSON(r)
-		}
-		results, err := e.callEach(ctx, nodes, msgAggPartial, func(dn *dataNode) []byte { return payloads[dn] })
-		if err != nil {
+	}, func(parts []int) []byte {
+		r := req
+		r.Parts = parts
+		return mustJSON(r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, raw := range replies {
+		var pws []aggPartialWire
+		if err := json.Unmarshal(raw, &pws); err != nil {
 			return nil, err
 		}
-		if e.smgr.MembershipGeneration() != gen {
-			if attempt < 2 {
-				continue // membership moved mid-probe: re-plan, nothing cached
-			}
-			payload := mustJSON(aggReq{Filter: req.Filter, By: req.By, Aggs: req.Aggs})
-			return e.fanOutData(ctx, msgAggPartial, func(*dataNode) []byte { return payload })
-		}
-		for _, raw := range results {
-			var pws []aggPartialWire
-			if err := json.Unmarshal(raw, &pws); err != nil {
-				return nil, err
-			}
-			for _, pw := range pws {
-				out = append(out, pw.Partial)
-				if f, ok := fills[pw.Part]; ok {
-					e.caches.PutPartial(pw.Part, digest, f.pgen, f.epoch, pw.Partial)
-				}
+		for _, pw := range pws {
+			out = append(out, pw.Partial)
+			if f, ok := fills[pw.Part]; ok && settled {
+				e.caches.PutPartial(pw.Part, f.digest, f.pgen, f.epoch, pw.Partial)
 			}
 		}
-		return out, nil
 	}
+	return out, nil
 }
 
 // aggDigest keys a partition's aggregate partial by the full query shape:
@@ -388,19 +305,6 @@ func aggDigest(req aggReq) uint64 {
 		h.Write([]byte(a.Path))
 	}
 	return h.Sum64()
-}
-
-// answeringDataNode resolves the partition's answering owner — the first
-// eligible read-side owner — to a local data node.
-func (e *Engine) answeringDataNode(p int) (*dataNode, bool) {
-	owner, ok := e.smgr.AnsweringNode(p, func(id fabric.NodeID) bool {
-		n, ok := e.dataNode(id)
-		return ok && e.eligible(n)
-	})
-	if !ok {
-		return nil, false
-	}
-	return e.dataNode(owner)
 }
 
 // buildJoin attaches the planned join operator.
@@ -431,7 +335,7 @@ func (e *Engine) buildJoin(ctx context.Context, p *plan.Plan, outer exec.Operato
 		}
 		return exec.NewIndexedNLJoin(outer, 0, spec.LeftPath, probe), nil
 	case plan.JoinHash:
-		inner, err := e.distributedScan(ctx, rf)
+		inner, err := e.scanDocs(ctx, rf)
 		if err != nil {
 			return nil, err
 		}
@@ -450,46 +354,23 @@ func (e *Engine) buildJoin(ctx context.Context, p *plan.Plan, outer exec.Operato
 // all-ring probe. Matching documents are then fetched from their
 // partition owners — never from the reporting node, whose copy could lag
 // behind the owner's latest version. A call carrying WithStaleReads
-// skips the open-window fallback and probes read-side owners only. The
-// BroadcastValueProbes ablation restores the pre-router behavior: every
-// ring member probes its whole value index.
+// skips the open-window fallback and probes read-side owners only.
 func (e *Engine) lookupAndFetch(ctx context.Context, req valueLookupReq, o callOpts) ([]*docmodel.Document, error) {
 	e.valueProbes.lookups.Add(1)
-	var results [][]byte
-	var err error
-	if e.cfg.BroadcastValueProbes {
-		payload := mustJSON(req)
-		results, err = e.fanOutData(ctx, msgValueLookup, func(*dataNode) []byte { return payload })
-	} else {
-		// Plan → probe is not atomic against membership changes: a window
-		// opening mid-flight can move a partition's postings off the node
-		// the plan selected before the probe arrives. Bracket the probe
-		// with the membership generation and re-plan when it moved; churn
-		// is rare, so the retry is almost never taken, and persistent
-		// churn degrades to the always-correct broadcast.
-		for attempt := 0; ; attempt++ {
-			gen := e.smgr.MembershipGeneration()
-			targets, pruned, windowed := e.valueProbePlan(req, o.staleReads)
-			results, err = e.probeValueTargets(ctx, req, targets)
-			if err != nil {
-				return nil, err
-			}
-			if e.smgr.MembershipGeneration() == gen {
-				e.valueProbes.partitionsPruned.Add(uint64(pruned))
-				if windowed > 0 {
-					e.valueProbes.windowFallbacks.Add(1)
-				}
-				break
-			}
-			if attempt == 2 {
-				payload := mustJSON(req)
-				results, err = e.fanOutData(ctx, msgValueLookup, func(*dataNode) []byte { return payload })
-				break
-			}
-		}
-	}
+	var pruned, windowed int
+	results, _, err := e.scatter(ctx, msgValueLookup, func(pl *partPlan) {
+		pruned, windowed = e.valueProbePlan(pl, req, o.staleReads)
+	}, func(parts []int) []byte {
+		r := req
+		r.Parts = parts
+		return mustJSON(r)
+	})
 	if err != nil {
 		return nil, err
+	}
+	e.valueProbes.partitionsPruned.Add(uint64(pruned))
+	if windowed > 0 {
+		e.valueProbes.windowFallbacks.Add(1)
 	}
 	e.valueProbes.probes.Add(uint64(len(results)))
 	seen := map[docmodel.DocID]struct{}{}
@@ -733,7 +614,7 @@ func (e *Engine) FacetsContext(ctx context.Context, req query.FacetRequest, opts
 			}
 		}
 	} else {
-		docs, err := e.distributedScan(ctx, req.Refine)
+		docs, err := e.scanDocs(ctx, req.Refine)
 		if err != nil {
 			return nil, err
 		}
@@ -783,22 +664,18 @@ func (e *Engine) FacetsContext(ctx context.Context, req query.FacetRequest, opts
 
 // facetDim merges facet counts for one dimension across the cluster.
 //
-// The fan-out is partition-routed: candidates are grouped by partition,
-// each partition's count is requested from its read-side owners only —
-// pruned entirely when no owner's path statistics admit the dimension
-// there — and the per-partition result is cached under the partition's
-// routing generation and write epoch. A steady-state repeat of the same
-// facet interaction is then a local merge of cached partials, and a
-// membership change recomputes only the moved partitions (their
-// generation bump fences exactly their entries). Partitions inside an
-// open hand-off window are counted by every ring member (the same rule
-// value probes use — their postings are mid-hand-over) and not cached.
-// Persistent churn, or a disabled partial cache, degrades to the legacy
-// whole-index broadcast.
+// The fan-out is partition-routed (scatter.go): candidates are grouped
+// by partition, each partition's count is requested from its holders
+// only — pruned entirely when no holder's path statistics admit the
+// dimension there — and the per-partition result is cached under the
+// partition's routing generation and write epoch. A steady-state repeat
+// of the same facet interaction is then a local merge of cached
+// partials, and a membership change recomputes only the moved partitions
+// (their generation bump fences exactly their entries). Partitions
+// inside an open hand-off window are counted by every ring member (the
+// same rule value probes use — their postings are mid-hand-over) and not
+// cached.
 func (e *Engine) facetDim(ctx context.Context, path string, candidateIDs []string, limit int) ([]query.FacetBucket, error) {
-	if !e.caches.PartialEnabled() {
-		return e.facetDimBroadcast(ctx, path, candidateIDs, limit)
-	}
 	parsed, err := parseIDs(candidateIDs)
 	if err != nil {
 		return nil, err
@@ -814,136 +691,67 @@ func (e *Engine) facetDim(ctx context.Context, path string, candidateIDs []strin
 	}
 	sort.Ints(parts)
 
-	for attempt := 0; ; attempt++ {
-		gen := e.smgr.MembershipGeneration()
-		type fill struct{ digest, pgen, epoch uint64 }
-		var (
-			cached  [][]facetBucketWire
-			targets = map[*dataNode][]int{}
-			fills   = map[int]fill{}
-			ring    []*dataNode
-		)
+	var (
+		cached [][]byte
+		fills  map[int]partialFill
+	)
+	replies, settled, err := e.scatter(ctx, msgFacets, func(pl *partPlan) {
+		cached, fills = nil, map[int]partialFill{}
 		for _, p := range parts {
 			digest := facetDigest(path, byPart[p])
 			pgen := e.smgr.PartitionGen(p)
 			if data, ok := e.caches.GetPartial(p, digest, pgen); ok {
-				var ws []facetBucketWire
-				if err := json.Unmarshal(data, &ws); err != nil {
-					return nil, err
-				}
-				cached = append(cached, ws)
+				cached = append(cached, data)
 				continue
 			}
 			epoch := e.caches.Epoch(p)
-			if e.smgr.InHandoff(p) {
-				// Mid-hand-off the postings can sit on either side: count on
-				// every ring member and do not cache the answer.
-				if ring == nil {
-					ring = e.ringNodes()
-				}
-				for _, dn := range ring {
-					targets[dn] = append(targets[dn], p)
-				}
-				continue
-			}
-			admitted := false
-			for _, owner := range e.smgr.ReadOwnersOf(p) {
-				dn, ok := e.dataNode(owner)
-				if !ok || !e.eligible(dn) || !e.smgr.InRing(owner) {
-					continue
-				}
-				if dn.ix.MayContainPath(p, path) {
-					targets[dn] = append(targets[dn], p)
-					admitted = true
-				}
-			}
-			if admitted {
-				fills[p] = fill{digest: digest, pgen: pgen, epoch: epoch}
-			} else {
-				// No owner has postings for the path in this partition:
-				// remember the empty partial so the repeat skips the
-				// statistics walk too.
-				e.caches.PutPartial(p, digest, pgen, epoch, mustJSON([]facetBucketWire{}))
+			window := e.smgr.InHandoff(p)
+			pl.holders(p, window, func(dn *dataNode) bool { return dn.ix.MayContainPath(p, path) })
+			if !window {
+				fills[p] = partialFill{digest, pgen, epoch}
 			}
 		}
-
-		fresh := map[int][]facetBucketWire{}
-		if len(targets) > 0 {
-			results, err := e.probeFacetTargets(ctx, path, byPart, targets)
-			if err != nil {
-				return nil, err
-			}
-			if e.smgr.MembershipGeneration() != gen {
-				if attempt < 2 {
-					continue // membership moved mid-probe: re-plan, nothing cached
-				}
-				return e.facetDimBroadcast(ctx, path, candidateIDs, limit)
-			}
-			for _, raw := range results {
-				var pws []facetPartialWire
-				if err := json.Unmarshal(raw, &pws); err != nil {
-					return nil, err
-				}
-				for _, pw := range pws {
-					fresh[pw.Part] = mergeBucketWires(fresh[pw.Part], pw.Buckets)
-				}
-			}
-			for p, ws := range fresh {
-				if f, ok := fills[p]; ok {
-					e.caches.PutPartial(p, f.digest, f.pgen, f.epoch, mustJSON(ws))
-				}
-			}
-		}
-		all := cached
-		for _, p := range parts {
-			if ws, ok := fresh[p]; ok {
-				all = append(all, ws)
-			}
-		}
-		return mergeFacetWires(all, limit)
-	}
-}
-
-// facetDimBroadcast is the legacy facet fan-out: every ring member counts
-// the candidates over its whole index, uncached. The ablation path, and
-// the fallback under persistent membership churn.
-func (e *Engine) facetDimBroadcast(ctx context.Context, path string, candidateIDs []string, limit int) ([]query.FacetBucket, error) {
-	payload := mustJSON(facetsReq{Path: path, IDs: candidateIDs, Limit: 0})
-	results, err := e.fanOutData(ctx, msgFacets, func(*dataNode) []byte { return payload })
-	if err != nil {
-		return nil, err
-	}
-	wires := make([][]facetBucketWire, 0, len(results))
-	for _, raw := range results {
-		var ws []facetBucketWire
-		if err := json.Unmarshal(raw, &ws); err != nil {
-			return nil, err
-		}
-		wires = append(wires, ws)
-	}
-	return mergeFacetWires(wires, limit)
-}
-
-// probeFacetTargets calls each planned node with its partition filter and
-// the candidates of those partitions, gathering raw replies in node
-// order.
-func (e *Engine) probeFacetTargets(ctx context.Context, path string, byPart map[int][]string, targets map[*dataNode][]int) ([][]byte, error) {
-	nodes := make([]*dataNode, 0, len(targets))
-	for dn := range targets {
-		nodes = append(nodes, dn)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].node.ID.Num < nodes[j].node.ID.Num })
-	payloads := make(map[*dataNode][]byte, len(nodes))
-	for _, dn := range nodes {
-		parts := targets[dn]
-		sort.Ints(parts)
+	}, func(parts []int) []byte {
 		var ids []string
 		for _, p := range parts {
 			ids = append(ids, byPart[p]...)
 		}
-		payloads[dn] = mustJSON(facetsReq{Path: path, IDs: ids, Parts: parts})
+		return mustJSON(facetsReq{Path: path, IDs: ids, Parts: parts})
+	})
+	if err != nil {
+		return nil, err
 	}
-	return e.callEach(ctx, nodes, msgFacets, func(dn *dataNode) []byte { return payloads[dn] })
+	// A partition's counts can arrive from several holders; its partial is
+	// their concatenation — mergeFacetWires sums equal values.
+	fresh := map[int][]facetBucketWire{}
+	for _, raw := range replies {
+		var pws []facetPartialWire
+		if err := json.Unmarshal(raw, &pws); err != nil {
+			return nil, err
+		}
+		for _, pw := range pws {
+			fresh[pw.Part] = append(fresh[pw.Part], pw.Buckets...)
+		}
+	}
+	if settled {
+		// A partition no holder admitted fills too, with the empty partial,
+		// so the repeat skips the statistics walk.
+		for p, f := range fills {
+			e.caches.PutPartial(p, f.digest, f.pgen, f.epoch, mustJSON(fresh[p]))
+		}
+	}
+	all := make([][]facetBucketWire, 0, len(parts))
+	for _, data := range cached {
+		var ws []facetBucketWire
+		if err := json.Unmarshal(data, &ws); err != nil {
+			return nil, err
+		}
+		all = append(all, ws)
+	}
+	for _, ws := range fresh {
+		all = append(all, ws)
+	}
+	return mergeFacetWires(all, limit)
 }
 
 // facetDigest keys a partition's facet partial by dimension path and its
@@ -958,28 +766,6 @@ func facetDigest(path string, ids []string) uint64 {
 		h.Write([]byte(s))
 	}
 	return h.Sum64()
-}
-
-// mergeBucketWires merges two wire-level bucket lists, summing counts of
-// equal values (a windowed partition's counts arrive from several nodes).
-func mergeBucketWires(a, b []facetBucketWire) []facetBucketWire {
-	if len(a) == 0 {
-		return b
-	}
-	idx := make(map[string]int, len(a))
-	out := append([]facetBucketWire{}, a...)
-	for i, w := range out {
-		idx[string(w.Value)] = i
-	}
-	for _, w := range b {
-		if i, ok := idx[string(w.Value)]; ok {
-			out[i].Count += w.Count
-		} else {
-			idx[string(w.Value)] = len(out)
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // mergeFacetWires merges per-source bucket lists into the final facet

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,10 +54,11 @@ func TestScanPagingBoundsReplySize(t *testing.T) {
 	}
 }
 
-// TestScanResumeTokenRestart: a resume token whose ID vanished from the
-// node's owned set restarts that node's scan from the top (the caller's
-// dedup absorbs the re-delivery), and a paged drive delivers exactly the
-// single-reply document set.
+// TestScanResumeTokenRestart: the resume token is the last examined ID
+// and the node resumes at the first ID greater than it, so a token whose
+// document was deleted between pages — or whose ID is not in the node's
+// list at all — neither re-delivers nor skips a row. Nothing engine-side
+// dedups, so the paged drive must deliver exactly the single-reply set.
 func TestScanResumeTokenRestart(t *testing.T) {
 	e := testEngine(t, func(c *Config) { c.ScanPageDocs = 2 })
 	for i := 0; i < 30; i++ {
@@ -68,49 +68,97 @@ func TestScanResumeTokenRestart(t *testing.T) {
 		}
 	}
 	e.DrainBackground()
-	dn := e.ringNodes()[0]
-	filter := expr.True().Encode()
+	pl := newPartPlan(e, false)
+	for p := 0; p < e.smgr.Partitions(); p++ {
+		pl.answering(p)
+	}
+	dn := pl.nodes()[0]
+	req := scanReq{Filter: expr.True().Encode(), Parts: pl.targets[dn]}
+	page := func(req scanReq) ([]*docmodel.Document, bool, docmodel.DocID) {
+		t.Helper()
+		raw, err := e.fab.Call(dn.node.ID, msgScanFiltered, mustJSON(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, more, lastID, err := decodeScanPage(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return docs, more, lastID
+	}
 
 	// Baseline: one unpaged reply names the node's full answering set.
-	raw, err := e.fab.Call(dn.node.ID, msgScanFiltered, mustJSON(scanReq{Filter: filter}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, more, _, _, err := decodeScanPage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if more || len(all) == 0 {
+	all, more, _ := page(req)
+	if more || len(all) < 4 {
 		t.Fatalf("unpaged baseline: %d docs, more=%v", len(all), more)
 	}
 
-	// Paged drive with a 2-doc page returns the same set in order.
-	paged, err := e.scanNodePaged(context.Background(), dn, msgScanFiltered, filter, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Paged drive with a 2-doc page; the first token's document is
+	// deleted before the second page is requested.
+	req.Page = 2
+	var paged []*docmodel.Document
+	for first := true; ; first = false {
+		docs, more, lastID := page(req)
+		paged = append(paged, docs...)
+		if !more {
+			break
+		}
+		if first {
+			if _, err := e.Delete(lastID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req.AfterID = lastID.String()
 	}
 	if len(paged) != len(all) {
 		t.Fatalf("paged drive returned %d docs, baseline %d", len(paged), len(all))
 	}
 	for i := range all {
 		if paged[i].ID != all[i].ID {
-			t.Fatalf("paged doc %d = %s, baseline %s", i, paged[i].ID, all[i].ID)
+			t.Fatalf("paged doc %d = %s, baseline %s (repeated or skipped)", i, paged[i].ID, all[i].ID)
 		}
 	}
 
-	// A token whose ID no longer exists restarts from position 0.
-	ghost := docmodel.DocID{Origin: 99, Seq: 9999}
-	raw, err = e.fab.Call(dn.node.ID, msgScanFiltered,
-		mustJSON(scanReq{Filter: filter, AfterPos: 3, AfterID: ghost.String()}))
+	// A token naming an ID that is not in the node's list (it belongs to
+	// another node's partitions) resumes at the next greater ID — the rest
+	// of the list, not a restart from the top.
+	// (The gap is looked for past all[1], the document deleted above.)
+	gap := -1
+	for i := 1; i+1 < len(all); i++ {
+		if all[i].ID.Origin == all[i+1].ID.Origin && all[i+1].ID.Seq > all[i].ID.Seq+1 {
+			gap = i
+			break
+		}
+	}
+	if gap < 0 {
+		t.Fatal("node's IDs are consecutive; scenario degenerate")
+	}
+	ghost := docmodel.DocID{Origin: all[gap].ID.Origin, Seq: all[gap].ID.Seq + 1}
+	rest, _, _ := page(scanReq{Filter: req.Filter, Parts: req.Parts, AfterID: ghost.String()})
+	want := all[gap+1:]
+	if len(rest) != len(want) {
+		t.Fatalf("vanished token returned %d docs, want the %d past it", len(rest), len(want))
+	}
+	for i := range want {
+		if rest[i].ID != want[i].ID {
+			t.Fatalf("vanished token doc %d = %s, want %s", i, rest[i].ID, want[i].ID)
+		}
+	}
+
+	// End to end: the full scan sees every surviving document once.
+	res, err := e.Run(plan.Query{Filter: expr.True()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restarted, _, _, _, err := decodeScanPage(raw)
-	if err != nil {
-		t.Fatal(err)
+	seen := map[docmodel.DocID]bool{}
+	for _, r := range res.Rows {
+		if seen[r.Docs[0].ID] {
+			t.Errorf("scan delivered %s twice", r.Docs[0].ID)
+		}
+		seen[r.Docs[0].ID] = true
 	}
-	if len(restarted) != len(all) {
-		t.Fatalf("vanished token returned %d docs, want full restart (%d)", len(restarted), len(all))
+	if len(seen) != 29 {
+		t.Errorf("scan after one delete = %d docs, want 29", len(seen))
 	}
 }
 

@@ -255,16 +255,16 @@ func TestTailResumeTokenRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"not-a-token",
-		"3:7x9",     // trailing garbage inside a watermark
-		"3x:7",      // trailing garbage inside a partition
-		"1:2,1:3",   // repeated partition
-		"-1:5",      // negative partition
-		"3:",        // missing watermark
-		":7",        // missing partition
-		"1:2,",      // dangling pair
-		"1:2, 3:4",  // interior whitespace
-		"0x3:7",     // non-decimal partition
-		"3:7:9",     // extra field
+		"3:7x9",                  // trailing garbage inside a watermark
+		"3x:7",                   // trailing garbage inside a partition
+		"1:2,1:3",                // repeated partition
+		"-1:5",                   // negative partition
+		"3:",                     // missing watermark
+		":7",                     // missing partition
+		"1:2,",                   // dangling pair
+		"1:2, 3:4",               // interior whitespace
+		"0x3:7",                  // non-decimal partition
+		"3:7:9",                  // extra field
 		"18446744073709551616:1", // partition overflows int
 		"1:18446744073709551616", // watermark overflows uint64
 	} {

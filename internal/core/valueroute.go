@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"sort"
 	"sync/atomic"
 
 	"impliance/internal/docmodel"
@@ -21,7 +19,7 @@ import (
 // node was selected for. Partitions inside an open dual-ownership window
 // are probed on every ring member instead — their index is mid-hand-over
 // (the same generation-fenced window rule reads already respect), so the
-// broadcast fallback is the only set guaranteed to cover both sides.
+// whole ring is the only set guaranteed to cover both sides.
 
 // valueProbeCounters accounts the routed value-lookup path.
 type valueProbeCounters struct {
@@ -110,83 +108,37 @@ func valueProbeBounds(req valueLookupReq) (lo, hi *docmodel.Value, loInc, hiInc,
 	return lo, hi, req.LoInc, req.HiInc, true
 }
 
-// valueProbePlan computes the minimal probe set for a value predicate:
-// which nodes to call and, per node, which of its partitions to consult.
-// For each settled partition the candidates are its read-side owners
-// that are alive ring members (the postings live on exactly one of them
-// — the answering owner at index time — and each candidate's own
-// statistics decide whether it is probed, so a quarantined owner still
-// holding the partition's postings keeps answering). Returns the plan
-// plus the number of partitions pruned by statistics and the number
-// routed through the open-window broadcast fallback.
+// valueProbePlan plans the minimal probe set for a value predicate onto
+// pl: which nodes to call and, per node, which of its partitions to
+// consult. For each settled partition the candidates are its holders
+// (partPlan.holders: the postings live on exactly one of them — the
+// answering owner at index time — and each candidate's own statistics
+// decide whether it is probed). Returns the number of partitions pruned
+// by statistics and the number routed through the open-window whole-ring
+// fallback.
 //
 // staleReads (the WithStaleReads call option) turns the open-window
 // fallback off: a partition mid-hand-off is treated like a settled one
 // and probed on its read-side owners only. The probe may then miss rows
 // whose index entry already moved to the joining side — the caller
 // traded that staleness for not broadcasting under churn.
-func (e *Engine) valueProbePlan(req valueLookupReq, staleReads bool) (targets map[*dataNode][]int, pruned, windowed int) {
-	targets = map[*dataNode][]int{}
+func (e *Engine) valueProbePlan(pl *partPlan, req valueLookupReq, staleReads bool) (pruned, windowed int) {
 	kind, haveKind := valueProbeKind(req)
 	lo, hi, loInc, hiInc, haveBounds := valueProbeBounds(req)
-	var ring []*dataNode // built lazily: only open windows need it
 	for p := 0; p < e.smgr.Partitions(); p++ {
-		if !staleReads && e.smgr.InHandoff(p) {
+		window := !staleReads && e.smgr.InHandoff(p)
+		if window {
 			windowed++
-			if ring == nil {
-				for _, dn := range e.dataNodes() {
-					if dn.node.Alive() && e.smgr.InRing(dn.node.ID) {
-						ring = append(ring, dn)
-					}
-				}
-			}
-			for _, dn := range ring {
-				targets[dn] = append(targets[dn], p)
-			}
-			continue
 		}
-		matched := false
-		consulted := false
-		for _, owner := range e.smgr.ReadOwnersOf(p) {
-			dn, ok := e.dataNode(owner)
-			if !ok || !dn.node.Alive() || !e.smgr.InRing(owner) {
-				continue
-			}
-			consulted = true
-			// Path/kind admission first, then the observed value bounds:
-			// a partition whose min/max provably excludes the probed
-			// interval cannot match and is pruned from the fan-out.
-			if dn.ix.Admits(p, req.Path, kind, haveKind) &&
-				(!haveBounds || dn.ix.AdmitsValueRange(p, req.Path, lo, hi, loInc, hiInc)) {
-				targets[dn] = append(targets[dn], p)
-				matched = true
-			}
-		}
-		// Only statistics rejections count as pruning; a partition with no
-		// reachable candidate at all (every read owner dead or off-ring) is
-		// a coverage gap, not a prune — the broadcast could not have
-		// reached it either, but the counter must not claim credit for it.
-		if consulted && !matched {
+		// Path/kind admission first, then the observed value bounds: a
+		// partition whose min/max provably excludes the probed interval
+		// cannot match and is pruned from the fan-out.
+		if pl.holders(p, window, func(dn *dataNode) bool {
+			return dn.ix.Admits(p, req.Path, kind, haveKind) &&
+				(!haveBounds || dn.ix.AdmitsValueRange(p, req.Path, lo, hi, loInc, hiInc))
+		}) {
 			pruned++
 		}
 	}
-	return targets, pruned, windowed
-}
-
-// probeValueTargets calls each planned node concurrently with its
-// partition filter and gathers raw replies in node order.
-func (e *Engine) probeValueTargets(ctx context.Context, req valueLookupReq, targets map[*dataNode][]int) ([][]byte, error) {
-	nodes := make([]*dataNode, 0, len(targets))
-	for dn := range targets {
-		nodes = append(nodes, dn)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].node.ID.Num < nodes[j].node.ID.Num })
-	payloads := make(map[*dataNode][]byte, len(nodes))
-	for _, dn := range nodes {
-		r := req
-		r.Parts = targets[dn]
-		sort.Ints(r.Parts)
-		payloads[dn] = mustJSON(r)
-	}
-	return e.callEach(ctx, nodes, msgValueLookup, func(dn *dataNode) []byte { return payloads[dn] })
+	return pruned, windowed
 }

@@ -43,8 +43,8 @@ func runEq(t *testing.T, e *Engine, path string, v docmodel.Value) []docmodel.Do
 // TestValueLookupRoutesToPathPartitions is the broadcast → routed
 // acceptance check for value predicates: a lookup on a path held by only
 // a few documents probes only the nodes owning those documents'
-// partitions (plus the fetch), never the whole cluster, and returns the
-// same documents as the broadcast ablation.
+// partitions (plus the fetch), never the whole cluster, and returns
+// exactly the documents ingested under the path.
 func TestValueLookupRoutesToPathPartitions(t *testing.T) {
 	e := testEngine(t, func(c *Config) { c.DataNodes = 6 })
 	// Filler: 60 docs under unrelated paths, spread over the partitions.
@@ -67,8 +67,8 @@ func TestValueLookupRoutesToPathPartitions(t *testing.T) {
 	_, probesBefore, prunedBefore, _ := e.ValueProbeStats()
 	before := handledByNode(e)
 	got := runEq(t, e, "/rare", docmodel.Int(42))
-	if len(got) != len(want) {
-		t.Fatalf("routed lookup = %v, want %d docs", got, len(want))
+	if !reflect.DeepEqual(got, sortedIDs(want)) {
+		t.Fatalf("routed lookup = %v, want %v", got, sortedIDs(want))
 	}
 	touched := touchedSince(e, before)
 	// 3 docs hash into ≤ 3 partitions, so probes reach ≤ 3 nodes and the
@@ -83,13 +83,6 @@ func TestValueLookupRoutesToPathPartitions(t *testing.T) {
 	}
 	if pruned == prunedBefore {
 		t.Error("path statistics pruned no partitions on a rare path")
-	}
-
-	// The broadcast ablation must return exactly the same documents.
-	e.cfg.BroadcastValueProbes = true
-	broadcast := runEq(t, e, "/rare", docmodel.Int(42))
-	if !reflect.DeepEqual(got, broadcast) {
-		t.Errorf("routed %v != broadcast %v", got, broadcast)
 	}
 }
 

@@ -63,57 +63,55 @@ func decodeDocs(b []byte) ([]*docmodel.Document, error) {
 	return out, nil
 }
 
-// Paged scan protocol. A scan request names the pushed-down filter and a
-// page bound; the node replies with up to Page matching documents plus a
-// resume token (the position and ID of the last document it *examined*,
-// matching or not). The caller re-calls with the token until more=false,
-// so peak reply size — and the caller's peak undecoded buffer — is
-// O(page), not O(corpus). The token is position-hinted but ID-verified:
-// if membership or registration changed under the cursor the node falls
-// back to searching for the ID, and a vanished ID restarts the node's
-// scan from the top (the caller's cross-node dedup absorbs re-delivery).
+// Paged scan protocol. A scan request names the partitions to scan, the
+// pushed-down filter and a page bound; the node replies with up to Page
+// matching documents plus a resume token (the ID of the last document it
+// *examined*, matching or not). The caller re-calls with the token until
+// more=false, so peak reply size — and the caller's peak undecoded
+// buffer — is O(page), not O(corpus). The node walks its partitions'
+// registered IDs in sorted order and resumes at the first ID greater
+// than the token, so registrations and deletions under the cursor can
+// neither repeat nor skip a document that was there throughout.
 
 type scanReq struct {
-	Filter   []byte `json:"filter,omitempty"` // expr.Encode; absent for scan-all
-	Page     int    `json:"page,omitempty"`   // max docs per reply; <= 0 = everything
-	AfterPos int    `json:"after_pos,omitempty"`
-	AfterID  string `json:"after_id,omitempty"`
+	Filter  []byte `json:"filter,omitempty"` // expr.Encode
+	Parts   []int  `json:"parts,omitempty"`  // partitions this node answers for
+	Page    int    `json:"page,omitempty"`   // max docs per reply; <= 0 = everything
+	AfterID string `json:"after_id,omitempty"`
 }
 
 // encodeScanPage frames one scan reply:
-// flags byte (bit0 = more) | pos+1 uvarint | origin uvarint | seq uvarint | doc batch.
-func encodeScanPage(docs []*docmodel.Document, more bool, pos int, lastID docmodel.DocID) []byte {
+// flags byte (bit0 = more) | origin uvarint | seq uvarint | doc batch.
+func encodeScanPage(docs []*docmodel.Document, more bool, lastID docmodel.DocID) []byte {
 	var flags byte
 	if more {
 		flags = 1
 	}
 	buf := make([]byte, 0, 32)
 	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(pos+1)) // -1 (nothing examined) → 0
 	buf = binary.AppendUvarint(buf, uint64(lastID.Origin))
 	buf = binary.AppendUvarint(buf, lastID.Seq)
 	return append(buf, encodeDocs(docs)...)
 }
 
 // decodeScanPage parses encodeScanPage output.
-func decodeScanPage(b []byte) (docs []*docmodel.Document, more bool, pos int, lastID docmodel.DocID, err error) {
+func decodeScanPage(b []byte) (docs []*docmodel.Document, more bool, lastID docmodel.DocID, err error) {
 	if len(b) < 1 {
-		return nil, false, 0, docmodel.DocID{}, fmt.Errorf("core: empty scan page")
+		return nil, false, docmodel.DocID{}, fmt.Errorf("core: empty scan page")
 	}
 	more = b[0]&1 != 0
 	off := 1
-	vals := [3]uint64{}
+	vals := [2]uint64{}
 	for i := range vals {
 		v, n := binary.Uvarint(b[off:])
 		if n <= 0 {
-			return nil, false, 0, docmodel.DocID{}, fmt.Errorf("core: truncated scan page header")
+			return nil, false, docmodel.DocID{}, fmt.Errorf("core: truncated scan page header")
 		}
 		vals[i], off = v, off+n
 	}
-	pos = int(vals[0]) - 1
-	lastID = docmodel.DocID{Origin: uint32(vals[1]), Seq: vals[2]}
+	lastID = docmodel.DocID{Origin: uint32(vals[0]), Seq: vals[1]}
 	docs, err = decodeDocs(b[off:])
-	return docs, more, pos, lastID, err
+	return docs, more, lastID, err
 }
 
 // wire control structs (JSON).
@@ -154,15 +152,14 @@ type aggReq struct {
 	Filter []byte        `json:"filter"` // expr.Encode
 	By     []string      `json:"by"`
 	Aggs   []aggSpecWire `json:"aggs"`
-	// Parts requests per-partition partials for exactly these partitions
-	// instead of one node-level partial over the node's whole answering
-	// set. With Parts set the reply is JSON []aggPartialWire; without it
-	// the reply is a single raw partials blob (the broadcast fallback).
+	// Parts names the partitions to aggregate. The reply is JSON
+	// []aggPartialWire, one partial per partition, so the engine can cache
+	// each partition's contribution under its own routing generation.
 	Parts []int `json:"parts,omitempty"`
 }
 
-// aggPartialWire is one partition's aggregate partial in a routed
-// (Parts-carrying) aggregation reply.
+// aggPartialWire is one partition's aggregate partial in an aggregation
+// reply.
 type aggPartialWire struct {
 	Part    int    `json:"part"`
 	Partial []byte `json:"partial"` // expr EncodePartials blob
@@ -196,20 +193,15 @@ type mergeReq struct {
 }
 
 type facetsReq struct {
-	Path  string   `json:"path"`
-	IDs   []string `json:"ids,omitempty"` // nil = all docs on the node
-	All   bool     `json:"all,omitempty"`
-	Limit int      `json:"limit"`
-	// Parts restricts the count to these partitions of the node's index.
-	// With Parts set the reply is []facetPartialWire (per partition, so
-	// the engine can cache each partition's partial separately); without
-	// it the reply is flat []facetBucketWire over the node's whole index
-	// (the broadcast fallback).
+	Path string   `json:"path"`
+	IDs  []string `json:"ids,omitempty"` // candidate documents to count
+	// Parts names the partitions of the node's index to count. The reply
+	// is []facetPartialWire, per partition, so the engine can cache each
+	// partition's partial separately.
 	Parts []int `json:"parts,omitempty"`
 }
 
-// facetPartialWire is one partition's facet buckets in a routed
-// (Parts-carrying) facet reply.
+// facetPartialWire is one partition's facet buckets in a facet reply.
 type facetPartialWire struct {
 	Part    int               `json:"part"`
 	Buckets []facetBucketWire `json:"buckets"`

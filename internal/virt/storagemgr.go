@@ -335,17 +335,15 @@ func (sm *StorageManager) AnsweringNode(p int, alive func(fabric.NodeID) bool) (
 	return fabric.NodeID{}, false
 }
 
-// DocsInPartitions returns the registered documents of every partition
-// the mask selects, in deterministic order. Scan-side handlers use it to
-// visit only the documents a node answers for, skipping its replica
-// copies without paying to evaluate them.
-func (sm *StorageManager) DocsInPartitions(mask []bool) []docmodel.DocID {
+// DocsInPartitions returns the registered documents of the listed
+// partitions, in deterministic order. Scan-side handlers use it to visit
+// only the documents of the partitions a node was asked to answer for,
+// skipping its replica copies without paying to evaluate them.
+func (sm *StorageManager) DocsInPartitions(parts []int) []docmodel.DocID {
 	sm.mu.Lock()
 	var out []docmodel.DocID
-	for p, sel := range mask {
-		if sel {
-			out = append(out, sm.byPart[p]...)
-		}
+	for _, p := range parts {
+		out = append(out, sm.byPart[p]...)
 	}
 	sm.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
