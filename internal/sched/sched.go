@@ -481,7 +481,9 @@ func NewPoolConfig(cfg PoolConfig) *Pool {
 }
 
 // Pause holds workers between tasks: any task already running finishes,
-// but nothing new starts until Resume. Deterministic simulation drivers
+// and a task taken from a queue after Pause — including by a worker that
+// was idle, waiting for work, when Pause was called — waits at the gate
+// until Resume before it runs. Deterministic simulation drivers
 // use the gate to act alone — membership ticks and scripted faults must
 // not interleave with background catch-up work, or the virtual-time
 // schedule stops being a pure function of the seed. Pair every Pause
@@ -513,11 +515,13 @@ func (p *Pool) gateWait() {
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
-		p.gateWait()
 		t, ok := p.take()
 		if !ok {
 			return
 		}
+		// Gate after take: an idle worker blocks inside take, so a gate
+		// checked before it would let a task submitted during a pause run.
+		p.gateWait()
 		p.run(t)
 	}
 }

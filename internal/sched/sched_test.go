@@ -244,3 +244,32 @@ func TestDrainCloseRace(t *testing.T) {
 		}
 	}
 }
+
+// TestPauseHoldsIdleWorkers: a worker already parked in take() when the
+// pool is paused must not run a task submitted during the pause.
+func TestPauseHoldsIdleWorkers(t *testing.T) {
+	for _, fifo := range []bool{false, true} {
+		p := NewPool(1, fifo)
+		// Run one task so the worker has passed the gate, then give it
+		// time to park waiting for the next one.
+		if _, err := p.SubmitWait(Interactive, func() {}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+		p.Pause()
+		ran := make(chan struct{})
+		p.Submit(Interactive, func() { close(ran) })
+		select {
+		case <-ran:
+			t.Fatalf("fifo=%v: task ran while the pool was paused", fifo)
+		case <-time.After(50 * time.Millisecond):
+		}
+		p.Resume()
+		select {
+		case <-ran:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("fifo=%v: task did not run after Resume", fifo)
+		}
+		p.Close()
+	}
+}
