@@ -98,10 +98,10 @@ func main() {
 		{"E17", "point-lookup routing over the partition ring", e17},
 		{"E18", "elastic membership: node re-join under load", e18},
 		{"E19", "partition-routed value-index probes", e19},
-		{"E20", "storage backends: heapwal vs segment store", e20},
+		{"E20", "segment store: lazy restart, bounded residency, compaction stall", e20},
 		{"E21", "request lifecycle: streaming cursors, cancellation, batched ingest", e21},
 		{"E22", "generation-fenced hot-path caches: Zipf point reads, facet partials, re-join", e22},
-		{"E23", "storage tier 2: mmap backend, segment merge/GC, paged scan replies", e23},
+		{"E23", "storage tier 2: mapped cold scans, segment merge/GC, paged scan replies", e23},
 		{"E24", "simulated churn at 128 nodes: zero loss, convergence, seeded replay", e24},
 		{"E25", "overload control: open-loop goodput curve, admission vs FIFO ablation", e25},
 		{"E26", "live tailing: 16-subscriber fan-out, exactly-once across node re-join", e26},
@@ -1099,116 +1099,92 @@ func e19() map[string]float64 {
 
 // ---------------------------------------------------------------- E20
 
-// e20 compares the two storage backends at the store layer on a 10k-doc
+// e20 measures the segment store at the store layer on a 10k-doc
 // corpus: ingest throughput, restart/replay wall time, and — the
 // scalability claim — how many decoded documents a re-opened store keeps
-// resident. The heapwal backend replays by decoding and pinning every
-// version; the segment backend replays sealed-segment frame indexes and
-// decodes lazily, so a fresh re-open holds zero decoded documents and
-// the hot cache bounds residency under reads. Point-Get results are
-// cross-checked between backends (zero mismatches required), and one
-// compaction pass per backend reports total wall time vs writer stall
-// (snapshot-then-swap for heapwal, per-segment commits for segment).
+// resident. The store replays sealed-segment frame indexes and decodes
+// lazily, so a fresh re-open holds zero decoded documents and the hot
+// cache bounds residency under reads. Every sampled point Get is checked
+// against the value it was written with (zero mismatches required), and
+// one compaction pass reports total wall time vs writer stall (one
+// commit per sealed segment).
 func e20() map[string]float64 {
 	const corpus = 10000
 	const samples = 1000
 	metrics := map[string]float64{"corpus_docs": corpus}
+	dir, err := os.MkdirTemp("", "implbench-e20-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	opts := storage.Options{Dir: dir, Codec: compress.FlateFast}
+	st, err := storage.Open(1, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var keys []docmodel.VersionKey
+	start := time.Now()
+	for i := 0; i < corpus; i++ {
+		k, err := st.Put(&docmodel.Document{
+			MediaType: "relational/row", Source: "bench",
+			Root: docmodel.Object(
+				docmodel.F("i", docmodel.Int(int64(i))),
+				docmodel.F("pad", docmodel.String(strings.Repeat("segment backend corpus ", 6))),
+			),
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	ingest := time.Since(start)
+	if err := st.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	start = time.Now()
+	st2, err := storage.Open(1, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	replay := time.Since(start)
+	residentReopen := st2.ResidentDecoded()
+
 	mismatches := 0.0
-	values := map[string][]int64{}
-	backends := []struct{ key, backend string }{
-		{"heap", ""},
-		{"segment", storage.BackendSegment},
-	}
-	fmt.Printf("%-10s %14s %14s %18s %18s %14s %12s\n",
-		"backend", "ingest docs/s", "replay ms", "resident@reopen", "resident@reads", "compact ms", "stall ms")
-	for _, b := range backends {
-		dir, err := os.MkdirTemp("", "implbench-e20-")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		opts := storage.Options{Dir: dir, Backend: b.backend, Codec: compress.FlateFast}
-		st, err := storage.Open(1, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var keys []docmodel.VersionKey
-		start := time.Now()
-		for i := 0; i < corpus; i++ {
-			k, err := st.Put(&docmodel.Document{
-				MediaType: "relational/row", Source: "bench",
-				Root: docmodel.Object(
-					docmodel.F("i", docmodel.Int(int64(i))),
-					docmodel.F("pad", docmodel.String(strings.Repeat("segment backend corpus ", 6))),
-				),
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			keys = append(keys, k)
-		}
-		ingest := time.Since(start)
-		if err := st.Close(); err != nil {
-			log.Fatal(err)
-		}
-
-		start = time.Now()
-		st2, err := storage.Open(1, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		replay := time.Since(start)
-		residentReopen := st2.ResidentDecoded()
-
-		vals := make([]int64, 0, samples)
-		for i := 0; i < samples; i++ {
-			idx := (i * 9973) % corpus
-			d, err := st2.Get(keys[idx].Doc)
-			if err != nil {
-				mismatches++
-				vals = append(vals, -1)
-				continue
-			}
-			v := d.First("/i").IntVal()
-			if v != int64(idx) {
-				mismatches++
-			}
-			vals = append(vals, v)
-		}
-		values[b.key] = vals
-		residentReads := st2.ResidentDecoded()
-
-		if err := st2.Compact(); err != nil {
-			log.Fatal(err)
-		}
-		compactTotal, compactStall := st2.CompactStats()
-		if err := st2.Close(); err != nil {
-			log.Fatal(err)
-		}
-
-		fmt.Printf("%-10s %14.0f %14.1f %18d %18d %14.1f %12.2f\n",
-			b.key, corpus/ingest.Seconds(), float64(replay.Microseconds())/1000,
-			residentReopen, residentReads,
-			float64(compactTotal.Microseconds())/1000, float64(compactStall.Microseconds())/1000)
-		metrics["ingest_docs_per_sec_"+b.key] = corpus / ingest.Seconds()
-		metrics["replay_ms_"+b.key] = float64(replay.Microseconds()) / 1000
-		metrics["resident_after_reopen_"+b.key] = float64(residentReopen)
-		metrics["resident_after_reads_"+b.key] = float64(residentReads)
-		metrics["compact_ms_"+b.key] = float64(compactTotal.Microseconds()) / 1000
-		metrics["compact_stall_ms_"+b.key] = float64(compactStall.Microseconds()) / 1000
-	}
-	for i := range values["heap"] {
-		// Failed reads (-1) were already counted in the per-backend loop;
-		// the cross-check only counts divergence between successful reads.
-		if h, s := values["heap"][i], values["segment"][i]; h != -1 && s != -1 && h != s {
+	for i := 0; i < samples; i++ {
+		idx := (i * 9973) % corpus
+		d, err := st2.Get(keys[idx].Doc)
+		if err != nil || d.First("/i").IntVal() != int64(idx) {
 			mismatches++
 		}
 	}
+	residentReads := st2.ResidentDecoded()
+
+	if err := st2.Compact(); err != nil {
+		log.Fatal(err)
+	}
+	compactTotal, compactStall := st2.CompactStats()
+	if err := st2.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Printf("%14s %14s %18s %18s %14s %12s\n",
+		"ingest docs/s", "replay ms", "resident@reopen", "resident@reads", "compact ms", "stall ms")
+	fmt.Printf("%14.0f %14.1f %18d %18d %14.1f %12.2f\n",
+		corpus/ingest.Seconds(), float64(replay.Microseconds())/1000,
+		residentReopen, residentReads,
+		float64(compactTotal.Microseconds())/1000, float64(compactStall.Microseconds())/1000)
+	metrics["ingest_docs_per_sec_segment"] = corpus / ingest.Seconds()
+	metrics["replay_ms_segment"] = float64(replay.Microseconds()) / 1000
+	metrics["resident_after_reopen_segment"] = float64(residentReopen)
+	metrics["resident_after_reads_segment"] = float64(residentReads)
+	metrics["compact_ms_segment"] = float64(compactTotal.Microseconds()) / 1000
+	metrics["compact_stall_ms_segment"] = float64(compactStall.Microseconds()) / 1000
 	metrics["get_mismatches"] = mismatches
-	fmt.Printf("point-Get cross-check: %d samples per backend, %.0f mismatches\n", samples, mismatches)
+	fmt.Printf("point-Get check: %d samples, %.0f mismatches against the written values\n", samples, mismatches)
 	fmt.Println("shape: the segment store re-opens by reading frame indexes — resident decoded docs start at 0")
-	fmt.Println("       and stay bounded by the hot cache, while heapwal re-pins the entire corpus; compaction")
-	fmt.Println("       stalls writers only for the commit window, not the rewrite")
+	fmt.Println("       and stay bounded by the hot cache; compaction stalls writers only for the commit")
+	fmt.Println("       window, not the rewrite")
 	return metrics
 }
 
@@ -1511,13 +1487,12 @@ func e22() map[string]float64 {
 // ---------------------------------------------------------------- E23
 
 // e23 measures storage tier 2 on a 100k-document corpus. Store layer:
-// the three physical backends (heapwal, segment, mmap) are compared on
-// replay wall time and cold-scan throughput (disk bytes over scan wall
-// time on a fresh re-open, codec None so the read path, not inflate,
-// is measured), then a merge pass reports disk amplification before and
+// the segment store's replay wall time and cold-scan throughput (disk
+// bytes over scan wall time on a fresh re-open, sealed segments read
+// through their mappings, codec None so the read path, not inflate, is
+// measured), then a merge pass reports disk amplification before and
 // after folding sealed segments — the corpus carries second versions
-// and tombstoned chains, so merge has superseded frames to reclaim
-// (heapwal has no physical segments and reports merge unsupported).
+// and tombstoned chains, so merge has superseded frames to reclaim.
 // Engine layer: the same full scan runs paged (default page) and
 // unpaged (ablation), and the fabric's per-reply high-water mark shows
 // paging bounding peak reply size at O(page) instead of O(corpus).
@@ -1527,102 +1502,95 @@ func e23() map[string]float64 {
 	const deletes = corpus / 20 // documents tombstoned outright
 	metrics := map[string]float64{"corpus_docs": corpus}
 	pad := strings.Repeat("storage tier two corpus ", 6)
-	backends := []struct{ key, backend string }{
-		{"heap", ""},
-		{"segment", storage.BackendSegment},
-		{"mmap", storage.BackendMmap},
+	dir, err := os.MkdirTemp("", "implbench-e23-")
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("%-10s %12s %16s %14s %16s %16s %10s\n",
-		"backend", "replay ms", "cold scan MB/s", "merge ms", "disk MB before", "disk MB after", "amp after")
-	for _, b := range backends {
-		dir, err := os.MkdirTemp("", "implbench-e23-")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		opts := storage.Options{Dir: dir, Backend: b.backend, Codec: compress.None, RetainVersions: 1}
-		st, err := storage.Open(1, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		keys := make([]docmodel.VersionKey, 0, corpus)
-		for i := 0; i < corpus; i++ {
-			k, err := st.Put(&docmodel.Document{
-				MediaType: "relational/row", Source: "bench",
-				Root: docmodel.Object(
-					docmodel.F("i", docmodel.Int(int64(i))),
-					docmodel.F("pad", docmodel.String(pad)),
-				),
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			keys = append(keys, k)
-		}
-		for i := 0; i < updates; i++ {
-			if _, err := st.Put(&docmodel.Document{
-				ID: keys[i].Doc, MediaType: "relational/row", Source: "bench",
-				Root: docmodel.Object(
-					docmodel.F("i", docmodel.Int(int64(i))),
-					docmodel.F("rev", docmodel.Int(2)),
-					docmodel.F("pad", docmodel.String(pad)),
-				),
-			}); err != nil {
-				log.Fatal(err)
-			}
-		}
-		for i := 0; i < deletes; i++ {
-			if _, err := st.Delete(keys[corpus-1-i].Doc); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := st.Close(); err != nil {
-			log.Fatal(err)
-		}
-
-		start := time.Now()
-		st2, err := storage.Open(1, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		replayMs := float64(time.Since(start).Microseconds()) / 1000
-
-		_, diskBefore := st2.StorageFootprint()
-		start = time.Now()
-		scanned := 0
-		st2.Scan(func(*docmodel.Document) bool { scanned++; return true })
-		scanSec := time.Since(start).Seconds()
-		scanMBs := float64(diskBefore) / (1 << 20) / scanSec
-		if scanned != corpus-deletes {
-			log.Fatalf("e23 %s: cold scan saw %d docs, want %d", b.key, scanned, corpus-deletes)
-		}
-
-		start = time.Now()
-		folded, err := st2.Merge()
-		if err != nil && !errors.Is(err, storage.ErrMergeUnsupported) {
-			log.Fatal(err)
-		}
-		mergeMs := float64(time.Since(start).Microseconds()) / 1000
-		live, diskAfter := st2.StorageFootprint()
-		if err := st2.Close(); err != nil {
-			log.Fatal(err)
-		}
-
-		ampAfter := 0.0
-		if live > 0 && diskAfter > 0 {
-			ampAfter = float64(diskAfter) / float64(live)
-		}
-		fmt.Printf("%-10s %12.1f %16.0f %14.1f %16.2f %16.2f %10.2f\n",
-			b.key, replayMs, scanMBs, mergeMs,
-			float64(diskBefore)/(1<<20), float64(diskAfter)/(1<<20), ampAfter)
-		metrics["replay_ms_"+b.key] = replayMs
-		metrics["cold_scan_mb_s_"+b.key] = scanMBs
-		metrics["merge_ms_"+b.key] = mergeMs
-		metrics["merge_folded_"+b.key] = boolMetric(folded)
-		metrics["disk_mb_before_merge_"+b.key] = float64(diskBefore) / (1 << 20)
-		metrics["disk_mb_after_merge_"+b.key] = float64(diskAfter) / (1 << 20)
-		metrics["live_mb_"+b.key] = float64(live) / (1 << 20)
+	defer os.RemoveAll(dir)
+	opts := storage.Options{Dir: dir, Codec: compress.None, RetainVersions: 1}
+	st, err := storage.Open(1, opts)
+	if err != nil {
+		log.Fatal(err)
 	}
+	keys := make([]docmodel.VersionKey, 0, corpus)
+	for i := 0; i < corpus; i++ {
+		k, err := st.Put(&docmodel.Document{
+			MediaType: "relational/row", Source: "bench",
+			Root: docmodel.Object(
+				docmodel.F("i", docmodel.Int(int64(i))),
+				docmodel.F("pad", docmodel.String(pad)),
+			),
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	for i := 0; i < updates; i++ {
+		if _, err := st.Put(&docmodel.Document{
+			ID: keys[i].Doc, MediaType: "relational/row", Source: "bench",
+			Root: docmodel.Object(
+				docmodel.F("i", docmodel.Int(int64(i))),
+				docmodel.F("rev", docmodel.Int(2)),
+				docmodel.F("pad", docmodel.String(pad)),
+			),
+		}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	for i := 0; i < deletes; i++ {
+		if _, err := st.Delete(keys[corpus-1-i].Doc); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	start := time.Now()
+	st2, err := storage.Open(1, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	replayMs := float64(time.Since(start).Microseconds()) / 1000
+
+	_, diskBefore := st2.StorageFootprint()
+	start = time.Now()
+	scanned := 0
+	st2.Scan(func(*docmodel.Document) bool { scanned++; return true })
+	scanSec := time.Since(start).Seconds()
+	scanMBs := float64(diskBefore) / (1 << 20) / scanSec
+	if scanned != corpus-deletes {
+		log.Fatalf("e23: cold scan saw %d docs, want %d", scanned, corpus-deletes)
+	}
+
+	start = time.Now()
+	folded, err := st2.Merge()
+	if err != nil {
+		log.Fatal(err)
+	}
+	mergeMs := float64(time.Since(start).Microseconds()) / 1000
+	live, diskAfter := st2.StorageFootprint()
+	if err := st2.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	ampAfter := 0.0
+	if live > 0 && diskAfter > 0 {
+		ampAfter = float64(diskAfter) / float64(live)
+	}
+	fmt.Printf("%12s %16s %14s %16s %16s %10s\n",
+		"replay ms", "cold scan MB/s", "merge ms", "disk MB before", "disk MB after", "amp after")
+	fmt.Printf("%12.1f %16.0f %14.1f %16.2f %16.2f %10.2f\n",
+		replayMs, scanMBs, mergeMs,
+		float64(diskBefore)/(1<<20), float64(diskAfter)/(1<<20), ampAfter)
+	metrics["replay_ms_segment"] = replayMs
+	metrics["cold_scan_mb_s_segment"] = scanMBs
+	metrics["merge_ms_segment"] = mergeMs
+	metrics["merge_folded_segment"] = boolMetric(folded)
+	metrics["disk_mb_before_merge_segment"] = float64(diskBefore) / (1 << 20)
+	metrics["disk_mb_after_merge_segment"] = float64(diskAfter) / (1 << 20)
+	metrics["live_mb_segment"] = float64(live) / (1 << 20)
 
 	// Engine layer: peak per-reply bytes with the paged protocol vs the
 	// unpaged ablation over the identical corpus and scan.
@@ -1655,9 +1623,9 @@ func e23() map[string]float64 {
 		metrics["peak_reply_bytes_"+mode.key] = float64(peak)
 		app.Close()
 	}
-	fmt.Println("shape: the segment and mmap backends replay frame indexes instead of re-decoding the corpus;")
-	fmt.Println("       mmap cold scans decode straight from the page cache; merge folds sealed segments and")
-	fmt.Println("       reclaims superseded versions and tombstoned chains, so disk amplification drops toward 1;")
+	fmt.Println("shape: the segment store replays frame indexes instead of re-decoding the corpus; cold")
+	fmt.Println("       scans decode straight from the page cache; merge folds sealed segments and reclaims")
+	fmt.Println("       superseded versions and tombstoned chains, so disk amplification drops toward 1;")
 	fmt.Println("       paged scans bound peak per-reply bytes at O(page) where the ablation ships O(corpus)")
 	return metrics
 }

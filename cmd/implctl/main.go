@@ -19,9 +19,7 @@
 //
 // Flags:
 //
-//	-dir PATH          persist data-node stores under PATH (default: in-memory)
-//	-backend NAME      store layout when -dir is set: heapwal (default), segment,
-//	                   or mmap (segment layout read through memory maps)
+//	-dir PATH          persist data-node segment stores under PATH (default: in-memory)
 //	-timeout DUR       per-query deadline (default 30s; queries past it are
 //	                   cancelled and their node fan-out abandoned)
 //	-admit-rate R      interactive admission tokens/sec per tenant
@@ -41,21 +39,18 @@ import (
 
 	"impliance"
 	"impliance/internal/expr"
-	"impliance/internal/storage"
 	"impliance/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 	dir := flag.String("dir", "", "persistence directory (empty = in-memory)")
-	backend := flag.String("backend", storage.BackendHeapWAL,
-		"storage backend when -dir is set: heapwal, segment, or mmap")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-query deadline")
 	admitRate := flag.Float64("admit-rate", 0, "interactive admission tokens/sec per tenant (0 = gate off)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 1 {
-		log.Fatal("usage: implctl [-dir PATH] [-backend heapwal|segment|mmap] demo | search <kw...> | sql <stmt> | ingest <file> [query...] | compact | merge | overload | tail [source]")
+		log.Fatal("usage: implctl [-dir PATH] demo | search <kw...> | sql <stmt> | ingest <file> [query...] | compact | merge | overload | tail [source]")
 	}
 	if args[0] == "overload" && *admitRate == 0 {
 		// The verb exists to show the gate working; a tight default rate
@@ -66,7 +61,7 @@ func main() {
 	// the production roll-over threshold would never seal a segment and
 	// the compact/merge verbs would have nothing to show.
 	app, err := impliance.Open(impliance.Config{
-		Dir: *dir, StorageBackend: *backend, SegmentBytes: 16 << 10,
+		Dir: *dir, SegmentBytes: 16 << 10,
 		AdmissionInteractiveRate: *admitRate,
 	})
 	if err != nil {
@@ -267,7 +262,7 @@ func printOverload(m impliance.Metrics) {
 }
 
 // printFootprint reports the appliance-wide storage footprint: bytes the
-// chains still reference (live) vs bytes sitting in backend files (disk).
+// chains still reference (live) vs bytes sitting in segment files (disk).
 // In-memory stores report zero disk.
 func printFootprint(app *impliance.Appliance, when string) {
 	live, disk := app.Engine().StorageFootprint()

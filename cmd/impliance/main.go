@@ -23,8 +23,7 @@
 //	-addr :8080    listen address
 //	-data N        data nodes
 //	-grid N        grid nodes
-//	-dir PATH      persist WALs under PATH (default: in-memory)
-//	-backend NAME  store layout when -dir is set: heapwal (default), segment, or mmap
+//	-dir PATH      persist data-node segment stores under PATH (default: in-memory)
 //	-admit-rate R  interactive admission tokens/sec per tenant (0 = gate off)
 //	-admit-burst B interactive admission burst (0 = one second of refill)
 //	-ingest-admit-rate R   ingest admission tokens/sec per source (0 = gate off)
@@ -55,7 +54,6 @@ func main() {
 	dataNodes := flag.Int("data", 4, "data nodes")
 	gridNodes := flag.Int("grid", 2, "grid nodes")
 	dir := flag.String("dir", "", "persistence directory (empty = in-memory)")
-	backend := flag.String("backend", "", "storage backend when -dir is set: heapwal (default), segment, or mmap")
 	admitRate := flag.Float64("admit-rate", 0, "interactive admission tokens/sec per tenant (0 = gate off)")
 	admitBurst := flag.Float64("admit-burst", 0, "interactive admission burst (0 = one second of refill)")
 	ingestAdmitRate := flag.Float64("ingest-admit-rate", 0, "ingest admission tokens/sec per source (0 = gate off)")
@@ -63,7 +61,7 @@ func main() {
 	flag.Parse()
 
 	app, err := impliance.Open(impliance.Config{
-		DataNodes: *dataNodes, GridNodes: *gridNodes, Dir: *dir, StorageBackend: *backend,
+		DataNodes: *dataNodes, GridNodes: *gridNodes, Dir: *dir,
 		AdmissionInteractiveRate:  *admitRate,
 		AdmissionInteractiveBurst: *admitBurst,
 		AdmissionIngestRate:       *ingestAdmitRate,
@@ -86,8 +84,8 @@ func main() {
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /tail", s.tail)
 
-	log.Printf("impliance appliance listening on %s (data=%d grid=%d dir=%q backend=%q)",
-		*addr, *dataNodes, *gridNodes, *dir, *backend)
+	log.Printf("impliance appliance listening on %s (data=%d grid=%d dir=%q)",
+		*addr, *dataNodes, *gridNodes, *dir)
 	log.Fatal(http.ListenAndServe(*addr, mux))
 }
 

@@ -26,8 +26,11 @@ import (
 // Intra-document annotation runs at ingest time (ingestpath.go). This
 // file hosts the inter-document passes: entity resolution across the
 // accumulated entity annotations, value-join discovery across document
-// shapes, and schema-family mapping — each producing join-index edges
-// persisted through the cluster node lock service.
+// shapes, and schema-family mapping — each producing join-index edges.
+// The edges live only in the engine's in-memory join index: the cluster
+// node's lock service serializes passes, it persists nothing, so a
+// restart rebuilds reference edges alone and discovered edges return
+// only with the next pass.
 
 // DiscoveryReport summarizes one inter-document discovery pass.
 type DiscoveryReport struct {

@@ -55,19 +55,17 @@ type Config struct {
 	// time-derived state reproduces across runs.
 	Clock sched.Clock
 
-	// Dir persists data-node WALs under this directory ("" = in-memory).
+	// Dir persists each data node's segment store under this directory
+	// ("" = in-memory). Sealed segments carry frame indexes and are read
+	// through memory maps, decoding lazily: resident memory tracks the
+	// hot set, not total history.
 	Dir string
 
-	// StorageBackend selects each data node's physical store layout:
-	// storage.BackendHeapWAL (default; single log, all versions decoded
-	// on the heap), storage.BackendSegment (sealed segment files with
-	// frame indexes and lazy decode — memory tracks the hot set, not
-	// total history), or storage.BackendMmap (the segment layout read
-	// through read-only memory maps; cold reads decode straight from the
-	// page cache). Ignored when Dir is empty (in-memory stores).
+	// StorageBackend accepts only "" and storage.BackendSegment, which
+	// both mean the one on-disk layout; any other name fails Open.
 	StorageBackend string
 
-	// SegmentBytes overrides the segment backend's roll-over threshold
+	// SegmentBytes overrides the segment store's roll-over threshold
 	// (0 = the storage default).
 	SegmentBytes int64
 
@@ -82,7 +80,7 @@ type Config struct {
 	// negative = unpaged single replies (ablation).
 	ScanPageDocs int
 
-	// HotCacheDocs bounds each lazy store's cache of decoded documents
+	// HotCacheDocs bounds each segment store's cache of decoded documents
 	// (0 = the storage default; see storage.Options.HotCacheDocs).
 	HotCacheDocs int
 

@@ -236,16 +236,16 @@ func TestDerivedReplicationFollowsPolicy(t *testing.T) {
 
 // TestRestartRecoversRoutingAndIndex: placement is a pure function of
 // the ID and the ring, so a restarted appliance rebuilds routing and
-// indexes from its WALs — old documents stay retrievable and searchable
-// and the ID allocator never re-mints a live ID.
+// indexes from its segment stores — old documents stay retrievable and
+// searchable and the ID allocator never re-mints a live ID. Recovery
+// registration runs on replayed headers and reads materialize lazily.
 func TestRestartRecoversRoutingAndIndex(t *testing.T) {
 	testRestartRecoversRoutingAndIndex(t, "")
 }
 
-// TestRestartRecoversRoutingAndIndexSegmentBackend: the same restart
-// contract holds when the data nodes persist through the segment
-// backend — recovery registration runs on replayed headers and reads
-// materialize lazily, but nothing observable changes.
+// TestRestartRecoversRoutingAndIndexSegmentBackend: naming the layout
+// explicitly (StorageBackend = "segment", as the benchmark does) gives
+// the same stores and the same restart contract as the default.
 func TestRestartRecoversRoutingAndIndexSegmentBackend(t *testing.T) {
 	testRestartRecoversRoutingAndIndex(t, storage.BackendSegment)
 }

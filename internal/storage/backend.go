@@ -3,9 +3,10 @@
 // Backend owns the physical layout of the frames those semantics persist
 // to. The paper's data node is "storage plus enough processing power"
 // (§3.1/§3.3) whose software half decides layout and compression — this
-// interface is that half's replaceable core, with two implementations:
-// heapwal (one append-only log, every version pinned decoded on the heap)
-// and segment (sealed segment files with frame indexes and lazy decode).
+// interface is that half's replaceable core. There is one on-disk layout,
+// the segment store (sealed segment files with frame indexes, read
+// through memory maps, decoded lazily); memory-only stores use
+// memBackend, which persists nothing.
 package storage
 
 import (
@@ -14,10 +15,10 @@ import (
 )
 
 // Locator names a frame's physical position within a backend: the
-// segment ordinal and the byte offset of the frame in that segment. The
-// heapwal backend uses segment 0 for its single log. Locators are stable
-// until a Compact remaps them; the Store keeps them consistent with its
-// chains by applying remaps inside the compaction commit.
+// segment ordinal and the byte offset of the frame in that segment.
+// Locators are stable until a Compact or Merge remaps them; the Store
+// keeps them consistent with its chains by applying remaps inside the
+// commit.
 type Locator struct {
 	Seg int
 	Off int64
@@ -40,18 +41,11 @@ func frameInfoOf(d *docmodel.Document) FrameInfo {
 	return FrameInfo{ID: d.ID, Ver: d.Version, Class: d.Class, Ann: d.IsAnnotation(), Del: d.Deleted}
 }
 
-// FrameMeta describes one frame surfaced during Replay.
-//
-// Raw is the encoded document when the backend read the frame's bytes
-// (always for heapwal; for the segment backend only when a segment had
-// to be scanned). A lazy backend replaying from a sealed segment's frame
-// index sets Raw nil and fills FrameInfo instead — that is the point:
-// re-opening a sealed store costs index reads, not document decodes.
-// Lazy backends always fill FrameInfo; the heapwal backend leaves it
-// zero and the Store takes identity from the decoded document.
+// FrameMeta describes one frame surfaced during replay: its locator,
+// size and document identity, never its body — re-opening a store costs
+// index reads and header parses, not document decodes.
 type FrameMeta struct {
 	Loc Locator
-	Raw []byte
 	// Size is the frame's on-disk (framed, compressed) byte count — the
 	// replay-side twin of Append's stored return, so the Store's live-byte
 	// accounting survives restarts without re-reading data files (index
@@ -60,11 +54,11 @@ type FrameMeta struct {
 	FrameInfo
 }
 
-// Backend is the physical storage layer beneath a Store. Each backend
-// also exposes a one-shot unexported open(fn) the Store drives at
-// construction: it recovers the on-disk state and streams every
-// recoverable frame — oldest first, bounded memory, torn tail in the
-// newest appendable file trimmed — before any other method is called.
+// Backend is the physical storage layer beneath a Store. The segment
+// backend also has a one-shot open(fn) the Store drives at construction:
+// it recovers the on-disk state and streams every recoverable frame —
+// oldest first, bounded memory, torn tail in the active segment trimmed
+// — before any other method is called.
 //
 // Locking contract: the Store serializes Append/Close against each
 // other and holds its read lock across ReadAt calls; Compact's commit
@@ -73,13 +67,8 @@ type FrameMeta struct {
 // guard their own file state with an internal mutex so the contract is
 // defense-in-depth, not a correctness dependency.
 type Backend interface {
-	// Name identifies the backend ("heapwal", "segment", "memory").
+	// Name identifies the backend ("segment", "memory").
 	Name() string
-	// Lazy reports whether ReadAt is supported and cheap enough that the
-	// Store may drop decoded documents and re-read them on demand. A
-	// non-lazy backend's locators are advisory: the Store never re-reads
-	// them, and Compact may leave post-snapshot appends un-remapped.
-	Lazy() bool
 	// Append durably adds one frame wrapping the encoded document raw;
 	// info is the document's identity (the caller just encoded it, so no
 	// backend re-parses the header on the write path). Returns the
@@ -94,10 +83,8 @@ type Backend interface {
 	// locator remapping of the affected frames and a swap function that
 	// performs the file swap; the caller invokes swap under whatever lock
 	// keeps its locators consistent with concurrent reads, then applies
-	// the remap. The heapwal backend commits once (snapshot-then-swap:
-	// the rewrite streams outside the lock, only the tail copy and
-	// rename stall writers); the segment backend commits once per sealed
-	// segment, so the stall is bounded by one segment's swap.
+	// the remap. The segment backend commits once per sealed segment, so
+	// the stall is bounded by one segment's swap.
 	Compact(commit func(remap map[Locator]Locator, swap func() error) error) error
 	// Close syncs and releases file handles.
 	Close() error
@@ -111,7 +98,6 @@ type memBackend struct {
 }
 
 func (m *memBackend) Name() string { return "memory" }
-func (m *memBackend) Lazy() bool   { return false }
 
 func (m *memBackend) Append(raw []byte, _ FrameInfo) (Locator, int, error) {
 	frame, err := compress.EncodeFrame(m.codec, raw)
@@ -129,5 +115,4 @@ func (m *memBackend) Compact(func(map[Locator]Locator, func() error) error) erro
 	return nil
 }
 
-func (m *memBackend) open(func(FrameMeta) error) error { return nil }
-func (m *memBackend) Close() error                     { return nil }
+func (m *memBackend) Close() error { return nil }

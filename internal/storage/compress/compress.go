@@ -243,7 +243,7 @@ func DecodeFrame(b []byte) (raw []byte, consumed int, err error) {
 // DecodeFrameAt parses and verifies the frame at the start of b without
 // copying the payload when the codec allows it: for uncompressed frames
 // the returned raw bytes are a sub-slice of b (the zero-copy path the
-// mmap backend reads sealed segments through — the page cache is the
+// segment store reads sealed segments through — the page cache is the
 // buffer), for compressed frames the decompression output is the only
 // copy. Callers must not retain raw past b's lifetime; the storage layer
 // decodes into owned document values before releasing its read lock.

@@ -13,10 +13,10 @@ import (
 	"impliance/internal/storage/compress"
 )
 
-// The backend conformance suite: every persistent backend must provide
-// identical Store semantics — versioning, recovery, torn-tail trimming,
-// compaction crash-safety — regardless of physical layout. Each test
-// runs against every configuration in conformanceBackends.
+// The conformance suite: the segment store must provide the Store's
+// semantics — versioning, recovery, torn-tail trimming, compaction
+// crash-safety — under every codec. Each test runs against every
+// configuration in conformanceBackends.
 
 type backendConfig struct {
 	name string
@@ -25,25 +25,14 @@ type backendConfig struct {
 
 func conformanceBackends() []backendConfig {
 	return []backendConfig{
-		{"heapwal", func(dir string) Options {
-			return Options{Dir: dir}
-		}},
-		{"heapwal-flate", func(dir string) Options {
-			return Options{Dir: dir, Codec: compress.Flate}
-		}},
 		// Tiny segments force frequent roll-over so every test crosses
-		// sealed-segment boundaries.
+		// sealed-segment boundaries: sealed segments are read through
+		// their mappings, the active segment with pread.
 		{"segment", func(dir string) Options {
 			return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048}
 		}},
 		{"segment-flate", func(dir string) Options {
 			return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048, Codec: compress.Flate}
-		}},
-		{"mmap", func(dir string) Options {
-			return Options{Dir: dir, Backend: BackendMmap, SegmentBytes: 2048}
-		}},
-		{"mmap-flate", func(dir string) Options {
-			return Options{Dir: dir, Backend: BackendMmap, SegmentBytes: 2048, Codec: compress.Flate}
 		}},
 	}
 }
@@ -63,15 +52,10 @@ func confDoc(i int) *docmodel.Document {
 	)
 }
 
-// newestDataFile returns the backend's newest (appendable) data file —
-// the WAL for heapwal, the active segment for the segment backend — the
-// only file a crash mid-append can tear.
+// newestDataFile returns the store's active segment — the only file a
+// crash mid-append can tear.
 func newestDataFile(t *testing.T, dir string) string {
 	t.Helper()
-	wal := filepath.Join(dir, "store.wal")
-	if _, err := os.Stat(wal); err == nil {
-		return wal
-	}
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no data files in %s", dir)
@@ -692,36 +676,42 @@ func TestSegmentRollOver(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsForeignLayout: opening a directory persisted by the
-// other backend must fail fast — silently presenting an empty store
+// TestOpenRejectsForeignLayout: a directory holding a single-log
+// "store.wal" (a layout this package no longer reads) must fail Open
+// with an error naming the file — silently presenting an empty store
 // would orphan the corpus and re-mint colliding DocIDs.
 func TestOpenRejectsForeignLayout(t *testing.T) {
-	heapDir := t.TempDir()
-	s, err := Open(7, Options{Dir: heapDir})
+	dir := t.TempDir()
+	d := confDoc(1)
+	d.ID, d.Version = docmodel.DocID{Origin: 7, Seq: 1}, 1
+	frame, err := compress.EncodeFrame(compress.None, docmodel.EncodeDocument(d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(confDoc(1))
-	s.Close()
-	if _, err := Open(7, Options{Dir: heapDir, Backend: BackendSegment}); err == nil {
-		t.Error("segment open over heapwal data must fail, not present an empty store")
-	}
-
-	segDir := t.TempDir()
-	s2, err := Open(7, Options{Dir: segDir, Backend: BackendSegment})
-	if err != nil {
+	wal := filepath.Join(dir, "store.wal")
+	if err := os.WriteFile(wal, frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2.Put(confDoc(1))
-	s2.Close()
-	if _, err := Open(7, Options{Dir: segDir}); err == nil {
-		t.Error("heapwal open over segment data must fail, not present an empty store")
+	for _, backend := range []string{"", BackendSegment} {
+		s, err := Open(7, Options{Dir: dir, Backend: backend})
+		if err == nil {
+			s.Close()
+			t.Fatalf("Backend=%q: open over a store.wal must fail, not present an empty store", backend)
+		}
+		if !strings.Contains(err.Error(), wal) {
+			t.Errorf("Backend=%q: error %q does not name %s", backend, err, wal)
+		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*")); len(segs) != 0 {
+		t.Errorf("refused open left segment files behind: %v", segs)
 	}
 }
 
 func TestOpenRejectsUnknownBackend(t *testing.T) {
-	if _, err := Open(1, Options{Dir: t.TempDir(), Backend: "bogus"}); err == nil {
-		t.Error("unknown backend must fail")
+	for _, name := range []string{"bogus", "heapwal", "mmap"} {
+		if _, err := Open(1, Options{Dir: t.TempDir(), Backend: name}); err == nil {
+			t.Errorf("backend %q must fail", name)
+		}
 	}
 	// Even memory-only stores validate the name, so a typo fails in the
 	// simulation that wrote it, not at first deployment with a Dir.

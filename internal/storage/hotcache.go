@@ -7,7 +7,7 @@ import (
 	"impliance/internal/docmodel"
 )
 
-// hotCache is the lazy backends' bounded LRU of decoded document
+// hotCache is the segment store's bounded LRU of decoded document
 // versions, keyed by version key (versions are immutable, so a cached
 // decode never goes stale). It is a leaf lock: acquired under the
 // store's mutex, never the other way around.

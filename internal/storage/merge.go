@@ -1,9 +1,9 @@
-// Segment merge/GC for the segment (and mmap) backend: fold every
-// sealed segment into one, carrying forward only the frames the Store's
-// plan keeps. Compaction (compact in segment.go) re-frames in place and
-// drops nothing; merge is the reclamation half — superseded duplicate
-// frames, retention-expired history, and fully tombstoned chains stop
-// occupying disk.
+// Segment merge/GC: fold every sealed segment into one, carrying
+// forward only the frames the Store's plan keeps. Compaction
+// (compactSegment in segment.go) re-frames in place and drops nothing;
+// merge is the reclamation half — superseded duplicate frames,
+// retention-expired history, and fully tombstoned chains stop occupying
+// disk.
 //
 // Crash-safety is a roll-forward journal around one atomic commit point:
 //
@@ -38,10 +38,14 @@ func (s *segmentBackend) markerPath() string {
 	return filepath.Join(s.dir, "merge-commit")
 }
 
-// Merge implements the mergeable seam used by Store.Merge. The stream
-// runs with no lock held (sealed segments are immutable and appends land
-// in the active segment); only the swap — marker write, renames, state
-// update — runs inside the caller's commit lock.
+// Merge folds the sealed segments into one for Store.Merge. planKeep
+// runs once with the merged ordinals and returns the per-frame keep
+// decision; commit mirrors Compact's contract, with the merged ordinals
+// added so the caller can drop chain entries whose frames were not
+// carried forward. The stream runs with no lock held (sealed segments
+// are immutable and appends land in the active segment); only the swap
+// — marker write, renames, state update — runs inside the caller's
+// commit lock.
 func (s *segmentBackend) Merge(minSegments int, planKeep func(segs []int) func(Locator) bool,
 	commit func(merged []int, remap map[Locator]Locator, swap func() error) error) (bool, error) {
 	if minSegments < 2 {

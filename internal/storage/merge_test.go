@@ -14,23 +14,18 @@ import (
 	"impliance/internal/storage/compress"
 )
 
-// Delete/tombstone and segment-merge semantics. Merge-capable
-// configurations (segment and mmap share the layout and the merge
-// implementation) are exercised for both; tombstone semantics run on the
-// full conformance matrix.
+// Delete/tombstone and segment-merge semantics. Merge runs on both
+// codecs; tombstone semantics run on the full conformance matrix.
 
 func mergeBackends() []backendConfig {
 	return []backendConfig{
 		{"segment", func(dir string) Options {
 			return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048}
 		}},
-		{"mmap", func(dir string) Options {
-			return Options{Dir: dir, Backend: BackendMmap, SegmentBytes: 2048}
-		}},
 		// Flate shrinks the repetitive test docs ~10×; a smaller segment
 		// threshold keeps the roll-over count comparable.
-		{"mmap-flate", func(dir string) Options {
-			return Options{Dir: dir, Backend: BackendMmap, SegmentBytes: 512, Codec: compress.Flate}
+		{"segment-flate", func(dir string) Options {
+			return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 512, Codec: compress.Flate}
 		}},
 	}
 }
@@ -145,14 +140,6 @@ func TestDeleteTombstoneSemantics(t *testing.T) {
 }
 
 func TestMergeUnsupportedBackends(t *testing.T) {
-	s, err := Open(1, Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Merge(); !errors.Is(err, ErrMergeUnsupported) {
-		t.Errorf("heapwal merge: %v", err)
-	}
 	m, err := Open(1, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -436,13 +423,13 @@ func TestMergeStagingSweptWithoutMarker(t *testing.T) {
 	})
 }
 
-// TestMmapColdReads: the mmap backend's defining property — a re-opened
-// store decodes on demand through the mappings, and the segment and mmap
-// backends open each other's directories (identical layout).
+// TestMmapColdReads: a re-opened segment store decodes on demand through
+// its sealed segments' mappings, reads the active segment with pread,
+// and falls back to pread for a sealed segment that cannot be mapped.
 func TestMmapColdReads(t *testing.T) {
 	dir := t.TempDir()
-	segOpts := Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048}
-	s, err := Open(1, segOpts)
+	opts := Options{Dir: dir, SegmentBytes: 2048}
+	s, err := Open(1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,36 +443,63 @@ func TestMmapColdReads(t *testing.T) {
 	}
 	s.Close()
 
-	mmapOpts := segOpts
-	mmapOpts.Backend = BackendMmap
-	s2, err := Open(1, mmapOpts)
+	readAll := func(s *Store, what string) {
+		t.Helper()
+		for i, k := range keys {
+			d, err := s.Get(k.Doc)
+			if err != nil || d.First("/i").IntVal() != int64(i) {
+				t.Fatalf("%s cold read %d: %v, %v", what, i, d, err)
+			}
+		}
+	}
+	s2, err := Open(1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.BackendName() != "mmap" {
+	if s2.BackendName() != "segment" {
 		t.Fatalf("backend = %q", s2.BackendName())
 	}
 	if res := s2.ResidentDecoded(); res != 0 {
 		t.Fatalf("resident after reopen = %d, want 0", res)
 	}
-	for i, k := range keys {
-		d, err := s2.Get(k.Doc)
-		if err != nil || d.First("/i").IntVal() != int64(i) {
-			t.Fatalf("mmap cold read %d: %v, %v", i, d, err)
+	readAll(s2, "mapped")
+	be := s2.be.(*segmentBackend)
+	if b, err := mmapFile(be.segPath(be.sealed[0])); err == nil && len(b) > 0 {
+		munmapBytes(b)
+		mapped := 0
+		for _, m := range be.maps {
+			if m != nil {
+				mapped++
+			}
+		}
+		if mapped != len(be.sealed) {
+			t.Errorf("mapped %d of %d sealed segments", mapped, len(be.sealed))
 		}
 	}
-	// Keep writing through the mmap store (active segment is pread) and
-	// reopen with the plain segment backend.
-	if _, err := s2.Put(confDoc(999)); err != nil {
+	// Keep writing (the active segment is read with pread) and reopen.
+	k, err := s2.Put(confDoc(60))
+	if err != nil {
 		t.Fatal(err)
 	}
+	keys = append(keys, k)
 	s2.Close()
-	s3, err := Open(1, segOpts)
+
+	s3, err := Open(1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s3.Close()
 	if got := s3.Len(); got != 61 {
 		t.Errorf("Len after round trip = %d, want 61", got)
+	}
+	// Negative-cache every sealed segment, as an unmappable file or a
+	// platform without mmap would: every read must fall back to pread.
+	be = s3.be.(*segmentBackend)
+	for _, seg := range be.sealed {
+		be.maps[seg] = nil
+	}
+	readAll(s3, "pread")
+	if len(be.readers) != len(be.sealed)+1 {
+		t.Errorf("pread handles = %d, want one per sealed segment plus the active one (%d sealed)", len(be.readers), len(be.sealed))
 	}
 }

@@ -4,9 +4,9 @@ package storage
 
 import "errors"
 
-// Non-unix platforms get the mmap backend's interface with the segment
-// backend's pread reads: mmapFile always fails, the mmap layer caches
-// the failure, and every ReadAt falls back.
+// Non-unix platforms read sealed segments with pread: mmapFile always
+// fails, the segment backend caches the failure, and every ReadAt falls
+// back.
 func mmapFile(string) ([]byte, error) {
 	return nil, errors.New("storage: mmap unsupported on this platform")
 }

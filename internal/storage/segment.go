@@ -27,6 +27,16 @@ import (
 // through ReadAt, keeping resident decoded documents bounded by the hot
 // cache instead of total history.
 //
+// Sealed segments are immutable, so cold reads go through one read-only
+// MAP_SHARED mapping per sealed segment: a page-cache access with no
+// read(2) round trip and no heap buffer for the compressed frame (with
+// the "none" codec the payload is a zero-copy view of the mapping). The
+// active segment, and any segment that cannot be mapped (an empty file,
+// or a platform without mmap), is read with pread. A view never outlives
+// its mapping: ReadAt runs under the Store's read lock and DecodeDocument
+// copies the view before the lock is released, while unmapping happens
+// only inside compaction/merge swaps (under the write lock) or Close.
+//
 // Crash-safety discipline:
 //
 //   - Only the active segment can have a torn tail; it is trimmed on
@@ -51,18 +61,20 @@ type segmentBackend struct {
 	pending   []segIdxEntry // frames in the active segment, for seal time
 	sealed    []int         // sealed segment ordinals, ascending
 
-	// readers caches read-only handles for cold reads (segments append
-	// or stay immutable, so a handle never goes stale except across a
-	// compaction swap, which drops it). Guarded by its own leaf mutex so
-	// concurrent ReadAt calls — pread-based and safe on a shared handle —
-	// never serialize on be.mu.
+	// readers and maps cache each segment's read path: a read-only
+	// handle for pread, and for sealed segments a mapping built on first
+	// cold read. A nil mapping is a negative entry — the segment could
+	// not be mapped, and its reads fall back to pread permanently, not
+	// per call. Segments append or stay immutable, so neither goes stale
+	// except across a compaction or merge swap, which drops both. Guarded
+	// by their own leaf mutex (acquired under be.mu, never the other way
+	// round) so concurrent ReadAt calls never serialize on be.mu.
 	readersMu sync.Mutex
 	readers   map[int]*os.File
-
-	// onInvalidate, when set, is called (under readersMu) whenever a
-	// segment's cached state must be dropped because its file was renamed
-	// over (compaction/merge swap). The mmap backend hooks it to unmap.
-	onInvalidate func(seg int)
+	maps      map[int][]byte
+	// readActive mirrors activeSeg for the read path: the active segment
+	// is always the highest ordinal, so every lower one is sealed.
+	readActive int
 }
 
 // segIdxEntry is one frame's record in a segment index.
@@ -74,12 +86,11 @@ type segIdxEntry struct {
 func newSegmentBackend(dir string, codec compress.Codec, syncEvery bool, segBytes int64) *segmentBackend {
 	return &segmentBackend{
 		dir: dir, codec: codec, syncEvery: syncEvery, segBytes: segBytes,
-		readers: map[int]*os.File{},
+		readers: map[int]*os.File{}, maps: map[int][]byte{},
 	}
 }
 
 func (s *segmentBackend) Name() string { return "segment" }
-func (s *segmentBackend) Lazy() bool   { return true }
 
 func (s *segmentBackend) segPath(n int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("seg-%04d.log", n))
@@ -147,6 +158,7 @@ func (s *segmentBackend) open(fn func(FrameMeta) error) error {
 		return fmt.Errorf("storage: stat segment: %w", err)
 	}
 	s.active, s.activeSeg, s.activeOff = f, activeSeg, st.Size()
+	s.setReadActive(activeSeg)
 	return nil
 }
 
@@ -245,7 +257,7 @@ func (s *segmentBackend) loadSegment(seg int, isActive bool, fn func(FrameMeta) 
 			ID: hdr.ID, Ver: hdr.Version, Class: hdr.Class, Ann: hdr.IsAnnotation(), Del: hdr.Deleted,
 		}}
 		entries = append(entries, e)
-		if err := fn(FrameMeta{Loc: Locator{Seg: seg, Off: off}, Raw: raw, Size: n, FrameInfo: e.info}); err != nil {
+		if err := fn(FrameMeta{Loc: Locator{Seg: seg, Off: off}, Size: n, FrameInfo: e.info}); err != nil {
 			return nil, false, err
 		}
 		off += int64(n)
@@ -306,6 +318,7 @@ func (s *segmentBackend) sealLocked() error {
 	old := s.active
 	s.sealed = append(s.sealed, s.activeSeg)
 	s.active, s.activeSeg, s.activeOff, s.pending = f, next, 0, nil
+	s.setReadActive(next)
 	// The data is already synced; a close failure must not undo the seal.
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("storage: seal close: %w", err)
@@ -313,62 +326,81 @@ func (s *segmentBackend) sealLocked() error {
 	return nil
 }
 
+// ReadAt reads a frame through its sealed segment's mapping, or with
+// pread from the active segment and from segments that could not be
+// mapped.
 func (s *segmentBackend) ReadAt(loc Locator) ([]byte, error) {
-	f, err := s.reader(loc.Seg)
+	b, f, err := s.source(loc.Seg)
 	if err != nil {
 		return nil, fmt.Errorf("storage: segment read: %w", err)
 	}
-	// The section's upper bound only caps the reader; EOF past the real
-	// end surfaces as a (torn-)frame error below. Small buffer: this is
-	// a single-frame point read, not a replay.
-	raw, _, err := compress.NewFrameReaderSize(io.NewSectionReader(f, loc.Off, 1<<62), 4<<10).Next()
+	var raw []byte
+	switch {
+	case b == nil:
+		// The section's upper bound only caps the reader; EOF past the
+		// real end surfaces as a (torn-)frame error below. Small buffer:
+		// this is a single-frame point read, not a replay.
+		raw, _, err = compress.NewFrameReaderSize(io.NewSectionReader(f, loc.Off, 1<<62), 4<<10).Next()
+	case loc.Off < 0 || loc.Off >= int64(len(b)):
+		err = fmt.Errorf("offset beyond mapping (%d bytes)", len(b))
+	default:
+		raw, _, err = compress.DecodeFrameAt(b[loc.Off:])
+	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: segment %d read at %d: %w", loc.Seg, loc.Off, err)
 	}
 	return raw, nil
 }
 
-// reader returns the cached read-only handle for a segment, opening it
-// on first use.
-func (s *segmentBackend) reader(seg int) (*os.File, error) {
+// source returns a segment's cached read path: the mapping of a sealed
+// segment, built on first use, or else a read-only handle for pread.
+func (s *segmentBackend) source(seg int) ([]byte, *os.File, error) {
 	s.readersMu.Lock()
 	defer s.readersMu.Unlock()
+	b, cached := s.maps[seg]
+	if !cached && seg < s.readActive {
+		// The active segment is never negatively cached: it may seal later.
+		if b, _ = mmapFile(s.segPath(seg)); len(b) == 0 {
+			b = nil
+		}
+		s.maps[seg] = b
+	}
+	if b != nil {
+		return b, nil, nil
+	}
 	if f, ok := s.readers[seg]; ok {
-		return f, nil
+		return nil, f, nil
 	}
 	f, err := os.Open(s.segPath(seg))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.readers[seg] = f
-	return f, nil
+	return nil, f, nil
 }
 
-// isSealed reports whether the ordinal names a sealed segment.
-func (s *segmentBackend) isSealed(seg int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, n := range s.sealed {
-		if n == seg {
-			return true
-		}
-	}
-	return false
+func (s *segmentBackend) setReadActive(seg int) {
+	s.readersMu.Lock()
+	s.readActive = seg
+	s.readersMu.Unlock()
 }
 
-// dropReader invalidates a segment's cached handle (its file was just
-// renamed over by compaction or merge; the old inode's offsets no longer
-// match the remapped locators).
+// dropReader invalidates a segment's cached handle and mapping (its file
+// was just renamed over or removed by compaction or merge; the old
+// inode's offsets no longer match the remapped locators). It runs inside
+// a commit swap holding the Store's write lock, so no reader holds a
+// view of the mapping.
 func (s *segmentBackend) dropReader(seg int) {
 	s.readersMu.Lock()
+	defer s.readersMu.Unlock()
 	if f, ok := s.readers[seg]; ok {
 		f.Close()
 		delete(s.readers, seg)
 	}
-	if s.onInvalidate != nil {
-		s.onInvalidate(seg)
+	if b := s.maps[seg]; b != nil {
+		munmapBytes(b)
 	}
-	s.readersMu.Unlock()
+	delete(s.maps, seg)
 }
 
 // Compact rewrites each sealed segment with the current codec, one
@@ -476,6 +508,12 @@ func (s *segmentBackend) Close() error {
 	for seg, f := range s.readers {
 		f.Close()
 		delete(s.readers, seg)
+	}
+	for seg, b := range s.maps {
+		if b != nil {
+			munmapBytes(b)
+		}
+		delete(s.maps, seg)
 	}
 	s.readersMu.Unlock()
 	s.mu.Lock()

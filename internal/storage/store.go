@@ -11,11 +11,11 @@
 // write-ahead log of checksummed frames; recovery tolerates a torn tail.
 //
 // The Store itself is a façade: version-chain semantics, ID minting, and
-// scan order live here, while the physical frame layout is a pluggable
-// Backend (backend.go). The "heapwal" backend is the original single-log
-// layout with every decoded version pinned on the heap; the "segment"
-// backend stores frames in sealed segment files with sidecar indexes and
-// decodes lazily, so memory tracks the hot set instead of total history.
+// scan order live here, while the physical frame layout is a Backend
+// (backend.go). A store with a directory uses the segment layout: frames
+// in sealed segment files with sidecar indexes, read through memory maps
+// and decoded lazily, so memory tracks the hot set instead of total
+// history. A memory-only store pins every decoded version instead.
 package storage
 
 import (
@@ -39,40 +39,35 @@ var (
 	ErrVersionGap    = errors.New("storage: version gap")
 	ErrClosed        = errors.New("storage: store closed")
 	ErrWrongOrigin   = errors.New("storage: document id minted by another store")
-	// ErrMergeUnsupported is returned by Merge on backends without
-	// physical segment GC (heapwal, memory).
+	// ErrMergeUnsupported is returned by Merge on memory-only stores,
+	// which have no segments to fold.
 	ErrMergeUnsupported = errors.New("storage: backend does not support merge")
 
 	errNoRandomAccess = errors.New("storage: backend does not support random reads")
 )
 
-// Backend names accepted by Options.Backend.
-const (
-	BackendHeapWAL = "heapwal"
-	BackendSegment = "segment"
-	// BackendMmap is the segment layout read through read-only memory
-	// maps: sealed segments live in the page cache and cold reads decode
-	// zero-copy views instead of pread+buffer copies. On-disk format is
-	// identical to BackendSegment — the two open each other's directories.
-	BackendMmap = "mmap"
-)
+// BackendSegment names the one on-disk layout; Options.Backend accepts
+// it or "".
+const BackendSegment = "segment"
+
+// retiredLog is the single-log file of a layout this package no longer
+// reads. Open refuses a directory holding one rather than present its
+// corpus as an empty store.
+const retiredLog = "store.wal"
 
 // Options configures a store.
 type Options struct {
-	// Dir is the directory for the persistent log; empty means the store
-	// is memory-only (used heavily by simulations and tests) regardless
-	// of the configured Backend.
+	// Dir is the directory for the segment files; empty means the store
+	// is memory-only (used heavily by simulations and tests).
 	Dir string
-	// Backend selects the physical layout: BackendHeapWAL (default, the
-	// original single-log layout with all versions decoded on the heap)
-	// or BackendSegment (sealed segment files, lazy decode).
+	// Backend accepts only "" and BackendSegment, which both mean the
+	// segment layout; any other name fails Open, memory-only stores
+	// included.
 	Backend string
-	// SegmentBytes is the segment backend's roll-over threshold (default
-	// 1 MiB). Ignored by other backends.
+	// SegmentBytes is the segment roll-over threshold (default 1 MiB).
 	SegmentBytes int64
-	// HotCacheDocs bounds the segment backend's cache of decoded
-	// document versions (default 1024). Ignored by non-lazy backends,
-	// which pin everything.
+	// HotCacheDocs bounds the cache of decoded document versions
+	// (default 1024). Memory-only stores pin every version instead.
 	HotCacheDocs int
 	// Codec compresses log frames; nil means compress.None.
 	Codec compress.Codec
@@ -106,9 +101,9 @@ type Stats struct {
 	CompactStallNanos atomic.Uint64
 
 	// ReadErrors counts present documents whose frame could not be
-	// re-read or decoded (lazy-backend I/O failure or on-disk
-	// corruption). Point reads surface these as errors; scans skip the
-	// document and rely on this counter to make the loss observable.
+	// re-read or decoded (segment I/O failure or on-disk corruption).
+	// Point reads surface these as errors; scans skip the document and
+	// rely on this counter to make the loss observable.
 	ReadErrors atomic.Uint64
 
 	// LiveBytes is the stored (framed, compressed) size of every version
@@ -122,8 +117,8 @@ type Stats struct {
 }
 
 // centry is one version slot in a chain: where the frame lives, plus the
-// decoded document when the backend is non-lazy (pinned forever) — lazy
-// backends leave doc nil and decoded copies live in the hot cache.
+// decoded document in a memory-only store (pinned forever) — segment
+// stores leave doc nil and decoded copies live in the hot cache.
 type centry struct {
 	doc   *docmodel.Document
 	loc   Locator
@@ -138,8 +133,7 @@ type Store struct {
 	origin uint32
 	opts   Options
 	be     Backend
-	lazy   bool
-	hot    *hotCache // nil unless lazy
+	hot    *hotCache // nil for memory-only stores
 
 	mu     sync.RWMutex
 	chains map[docmodel.DocID][]*centry // version chains, index = ver-1
@@ -149,7 +143,7 @@ type Store struct {
 
 	// compactMu serializes Compact against itself: the rewrite streams
 	// outside s.mu by design, so two concurrent compactions would race
-	// on the backends' shared temp files.
+	// on the segments' temp files.
 	compactMu sync.Mutex
 
 	stats Stats
@@ -173,12 +167,10 @@ func Open(origin uint32, opts Options) (*Store, error) {
 	if opts.MergeMinSegments <= 0 {
 		opts.MergeMinSegments = 2
 	}
-	switch opts.Backend {
-	case "", BackendHeapWAL, BackendSegment, BackendMmap:
-	default:
+	if opts.Backend != "" && opts.Backend != BackendSegment {
 		// Validate the name even for memory-only stores, so a typo fails
 		// in the simulation that wrote it, not at first deployment.
-		return nil, fmt.Errorf("storage: unknown backend %q", opts.Backend)
+		return nil, fmt.Errorf("storage: unknown backend %q (want %q)", opts.Backend, BackendSegment)
 	}
 	s := &Store{
 		origin: origin,
@@ -192,78 +184,25 @@ func Open(origin uint32, opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	// openableBackend is a Backend with the one-shot recovery entry point
-	// the Store drives before taking ownership.
-	type openableBackend interface {
-		Backend
-		open(fn func(FrameMeta) error) error
+	if wal := filepath.Join(opts.Dir, retiredLog); fileExists(wal) {
+		return nil, fmt.Errorf("storage: %s is a single-log store, a layout this version cannot read; open a fresh directory", wal)
 	}
-	var be openableBackend
-	switch opts.Backend {
-	case "", BackendHeapWAL:
-		if err := rejectForeignLayout(opts.Dir, "seg-*.log", BackendHeapWAL, BackendSegment); err != nil {
-			return nil, err
-		}
-		be = newHeapWAL(opts.Dir, opts.Codec, opts.SyncEveryWrite)
-	case BackendSegment:
-		if err := rejectForeignLayout(opts.Dir, "store.wal", BackendSegment, BackendHeapWAL); err != nil {
-			return nil, err
-		}
-		be = newSegmentBackend(opts.Dir, opts.Codec, opts.SyncEveryWrite, opts.SegmentBytes)
-	case BackendMmap:
-		// Same on-disk layout as the segment backend, so only heapwal
-		// directories are foreign.
-		if err := rejectForeignLayout(opts.Dir, "store.wal", BackendMmap, BackendHeapWAL); err != nil {
-			return nil, err
-		}
-		be = newMmapBackend(opts.Dir, opts.Codec, opts.SyncEveryWrite, opts.SegmentBytes)
-	default:
-		return nil, fmt.Errorf("storage: unknown backend %q", opts.Backend)
-	}
-	if s.lazy = be.Lazy(); s.lazy {
-		s.hot = newHotCache(opts.HotCacheDocs)
-	}
-	if err := be.open(s.replayFrame); err != nil {
+	be := newSegmentBackend(opts.Dir, opts.Codec, opts.SyncEveryWrite, opts.SegmentBytes)
+	s.hot = newHotCache(opts.HotCacheDocs)
+	// Replay is single-threaded, so installEntry runs without s.mu.
+	if err := be.open(func(m FrameMeta) error {
+		s.installEntry(m.ID, m.Ver, &centry{loc: m.Loc, size: m.Size, class: m.Class, ann: m.Ann, del: m.Del})
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	s.be = be
 	return s, nil
 }
 
-// rejectForeignLayout fails fast when the directory holds the other
-// backend's files: silently opening an empty store over an invisible
-// corpus would orphan the data and re-mint colliding DocIDs. Switching
-// backends requires a fresh directory (or an explicit migration).
-func rejectForeignLayout(dir, foreignGlob, want, holds string) error {
-	matches, err := filepath.Glob(filepath.Join(dir, foreignGlob))
-	if err == nil && len(matches) > 0 {
-		return fmt.Errorf("storage: %s holds %s-backend data; open it with Backend=%q or point %q at a fresh directory",
-			dir, holds, holds, want)
-	}
-	return nil
-}
-
-// replayFrame installs one recovered frame. During replay the store is
-// single-threaded, so no lock is taken. Lazy backends supply header
-// identity (and, for scanned frames, raw bytes we deliberately do not
-// decode); non-lazy backends supply raw bytes the store decodes and
-// pins — the original recovery behavior.
-func (s *Store) replayFrame(m FrameMeta) error {
-	if s.lazy {
-		s.installEntry(m.ID, m.Ver, &centry{loc: m.Loc, size: m.Size, class: m.Class, ann: m.Ann, del: m.Del})
-		return nil
-	}
-	doc, err := docmodel.DecodeDocument(m.Raw)
-	if err != nil {
-		// A checksummed frame that is not a document: skip it rather than
-		// dropping everything after it.
-		return nil
-	}
-	s.installEntry(doc.ID, doc.Version, &centry{
-		doc: doc, loc: m.Loc, size: m.Size,
-		class: doc.Class, ann: doc.IsAnnotation(), del: doc.Deleted,
-	})
-	return nil
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // installEntry places a version entry in its chain, growing the chain
@@ -374,7 +313,7 @@ func (s *Store) append(d *docmodel.Document) error {
 	s.stats.StoredBytes.Add(uint64(stored))
 	s.stats.RawBytes.Add(uint64(len(raw)))
 	ce := &centry{loc: loc, size: stored, class: d.Class, ann: d.IsAnnotation(), del: d.Deleted}
-	if s.lazy {
+	if s.hot != nil {
 		// Fresh writes are the hottest reads (the indexer fetches them
 		// right back); cache the decoded form instead of pinning it.
 		s.hot.add(d.Key(), d)
@@ -386,7 +325,7 @@ func (s *Store) append(d *docmodel.Document) error {
 }
 
 // materializeLocked turns a chain entry into a decoded document: pinned
-// (non-lazy), hot-cached, or re-read from its frame. Caller holds s.mu
+// (memory-only), hot-cached, or re-read from its frame. Caller holds s.mu
 // in at least read mode — that is what keeps the locator valid against a
 // concurrent compaction swap. cache controls hot-cache admission (only
 // chain heads are cached; cold history reads stay cold).
@@ -525,8 +464,8 @@ func (s *Store) Len() int {
 }
 
 // ResidentDecoded reports how many decoded document versions are
-// resident on the heap: everything ever stored for a non-lazy backend,
-// the hot cache's population for a lazy one. It is the E20 scalability
+// resident on the heap: everything ever stored for a memory-only store,
+// the hot cache's population for a segment store. It is the E20 scalability
 // metric — a freshly re-opened segment store reports 0.
 func (s *Store) ResidentDecoded() int {
 	if s.hot != nil {
@@ -585,7 +524,7 @@ func (s *Store) EachMeta(fn func(DocMeta) bool) {
 
 // Scan streams the latest version of every document in insertion order.
 // fn returning false stops the scan. A document whose frame cannot be
-// re-read (lazy backend, corrupt or unreadable segment) is skipped; the
+// re-read (corrupt or unreadable segment) is skipped; the
 // failure is counted in ReadErrorCount rather than aborting the scan.
 func (s *Store) Scan(fn func(*docmodel.Document) bool) {
 	s.mu.RLock()
@@ -687,7 +626,7 @@ func (s *Store) StatsSnapshot() (puts, gets, scanned, rawBytes, storedBytes uint
 }
 
 // ReadErrorCount reports how many materializations of present documents
-// have failed (I/O error or corruption on a lazy backend's cold-read
+// have failed (I/O error or corruption on a segment store's cold-read
 // path) — non-zero means scans may have silently skipped documents.
 func (s *Store) ReadErrorCount() uint64 { return s.stats.ReadErrors.Load() }
 
@@ -700,9 +639,8 @@ func (s *Store) CompactStats() (total, stall time.Duration) {
 // Compact rewrites persistent storage, dropping nothing (all versions
 // are retained for audit, paper §4) but re-framing with the current
 // codec and removing torn garbage. The heavy rewrite streams outside the
-// store's write lock; only the backend's commit points — tail copy and
-// rename for heapwal, per-segment rename for the segment backend — stall
-// writers, and the stall is accounted in CompactStats.
+// store's write lock; only the per-segment renames stall writers, and
+// the stall is accounted in CompactStats.
 func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -724,9 +662,9 @@ func (s *Store) Compact() error {
 			return err
 		}
 		if len(remap) > 0 {
-			// One commit's remap covers exactly one segment (heapwal: the
-			// single log); pre-filtering on the ordinal keeps the locked
-			// walk to an integer compare per entry instead of a map probe.
+			// One commit's remap covers exactly one segment; pre-filtering
+			// on the ordinal keeps the locked walk to an integer compare
+			// per entry instead of a map probe.
 			seg := -1
 			for old := range remap {
 				if seg >= 0 && old.Seg != seg {
@@ -753,22 +691,6 @@ func (s *Store) Compact() error {
 	return err
 }
 
-// mergeable is implemented by backends with physical segment merge:
-// fold the sealed segments into one, keeping only the frames the
-// caller's plan retains. planKeep runs once with the merged ordinals and
-// returns the per-frame keep decision; commit mirrors Compact's
-// contract, with the merged ordinals added so the caller can drop chain
-// entries whose frames were not carried forward.
-type mergeable interface {
-	Merge(minSegments int, planKeep func(segs []int) func(Locator) bool,
-		commit func(merged []int, remap map[Locator]Locator, swap func() error) error) (bool, error)
-}
-
-// diskSizer is implemented by backends whose frames live in real files.
-type diskSizer interface {
-	DiskBytes() (uint64, error)
-}
-
 // StorageFootprint reports the store's live bytes (stored frame size of
 // every chain-referenced version) against its on-disk data bytes.
 // disk−live is reclaimable garbage: superseded duplicate frames,
@@ -776,8 +698,8 @@ type diskSizer interface {
 // disk is 0 for the memory backend.
 func (s *Store) StorageFootprint() (live, disk uint64) {
 	live = s.stats.LiveBytes.Load()
-	if ds, ok := s.be.(diskSizer); ok {
-		if d, err := ds.DiskBytes(); err == nil {
+	if sb, ok := s.be.(*segmentBackend); ok {
+		if d, err := sb.DiskBytes(); err == nil {
 			disk = d
 		}
 	}
@@ -789,12 +711,12 @@ func (s *Store) StorageFootprint() (live, disk uint64) {
 // fully tombstoned chains. Like Compact, the heavy rewrite streams
 // outside the store's write lock; only the backend's single commit swap
 // stalls writers. Returns whether a fold happened (false when there are
-// fewer than MergeMinSegments sealed segments). Backends without
-// physical segments return ErrMergeUnsupported.
+// fewer than MergeMinSegments sealed segments). Memory-only stores
+// return ErrMergeUnsupported.
 func (s *Store) Merge() (bool, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	mb, ok := s.be.(mergeable)
+	sb, ok := s.be.(*segmentBackend)
 	if !ok {
 		return false, ErrMergeUnsupported
 	}
@@ -805,7 +727,7 @@ func (s *Store) Merge() (bool, error) {
 		return false, ErrClosed
 	}
 	start := time.Now()
-	merged, err := mb.Merge(s.opts.MergeMinSegments, s.mergeKeep,
+	merged, err := sb.Merge(s.opts.MergeMinSegments, s.mergeKeep,
 		func(mergedSegs []int, remap map[Locator]Locator, swap func() error) error {
 			s.mu.Lock()
 			defer s.mu.Unlock()

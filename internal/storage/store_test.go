@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
+
 	"strings"
 	"sync"
 	"testing"
@@ -252,7 +252,7 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 	s.Close()
 
-	path := filepath.Join(dir, "store.wal")
+	path := newestDataFile(t, dir)
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

@@ -350,8 +350,6 @@ func (sm *StorageManager) DocsInPartitions(parts []int) []docmodel.DocID {
 	return out
 }
 
-// DocsInPartition returns one partition's registered documents, in
-// deterministic order.
 // PartitionDocCount reports how many registered documents the partition
 // holds — the partition-routed aggregate planner's cheap emptiness check.
 func (sm *StorageManager) PartitionDocCount(p int) int {
@@ -360,6 +358,8 @@ func (sm *StorageManager) PartitionDocCount(p int) int {
 	return len(sm.byPart[p])
 }
 
+// DocsInPartition returns one partition's registered documents, in
+// deterministic order.
 func (sm *StorageManager) DocsInPartition(p int) []docmodel.DocID {
 	sm.mu.Lock()
 	out := append([]docmodel.DocID{}, sm.byPart[p]...)
