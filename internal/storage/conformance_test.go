@@ -606,6 +606,8 @@ func TestSegmentCompactAfterCodecChange(t *testing.T) {
 	plain := Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048}
 	packed := plain
 	packed.Codec = compress.Flate
+	// A one-document hot cache sends reads to the segments.
+	packed.HotCacheDocs = 1
 
 	s, err := Open(7, plain)
 	if err != nil {
@@ -624,6 +626,13 @@ func TestSegmentCompactAfterCodecChange(t *testing.T) {
 	s2, err := Open(7, packed)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Map the sealed segments before compaction renames new files over
+	// them: the swap must drop those mappings.
+	for _, k := range keys {
+		if _, err := s2.Get(k.Doc); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s2.Compact(); err != nil {
 		t.Fatal(err)

@@ -168,7 +168,11 @@ func TestMergeNoopBelowThreshold(t *testing.T) {
 func TestMergeReclaimsTombstonedChains(t *testing.T) {
 	forEachMergeBackend(t, func(t *testing.T, bc backendConfig) {
 		dir := t.TempDir()
-		s, err := Open(1, bc.opts(dir))
+		// A one-document hot cache sends reads to the segments, so the
+		// reads below map them before the merge replaces their files.
+		opts := bc.opts(dir)
+		opts.HotCacheDocs = 1
+		s, err := Open(1, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,6 +192,11 @@ func TestMergeReclaimsTombstonedChains(t *testing.T) {
 		// Roll the tombstones into sealed segments so the whole chain is
 		// inside the merged set.
 		padToSeal(t, s, 30)
+		for _, k := range keys[10:] {
+			if _, err := s.Get(k.Doc); err != nil {
+				t.Fatal(err)
+			}
+		}
 		preLive, preDisk := s.StorageFootprint()
 		if preDisk < preLive {
 			t.Fatalf("disk %d < live %d before merge", preDisk, preLive)

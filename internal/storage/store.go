@@ -50,11 +50,6 @@ var (
 // it or "".
 const BackendSegment = "segment"
 
-// retiredLog is the single-log file of a layout this package no longer
-// reads. Open refuses a directory holding one rather than present its
-// corpus as an empty store.
-const retiredLog = "store.wal"
-
 // Options configures a store.
 type Options struct {
 	// Dir is the directory for the segment files; empty means the store
@@ -184,8 +179,11 @@ func Open(origin uint32, opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	if wal := filepath.Join(opts.Dir, retiredLog); fileExists(wal) {
-		return nil, fmt.Errorf("storage: %s is a single-log store, a layout this version cannot read; open a fresh directory", wal)
+	// store.wal is the single log of a layout this package no longer
+	// reads: refuse it rather than present its corpus as an empty store.
+	wal := filepath.Join(opts.Dir, "store.wal")
+	if _, err := os.Stat(wal); err == nil {
+		return nil, fmt.Errorf("storage: found %s, a single-log store this version cannot read; open a fresh directory", wal)
 	}
 	be := newSegmentBackend(opts.Dir, opts.Codec, opts.SyncEveryWrite, opts.SegmentBytes)
 	s.hot = newHotCache(opts.HotCacheDocs)
@@ -198,11 +196,6 @@ func Open(origin uint32, opts Options) (*Store, error) {
 	}
 	s.be = be
 	return s, nil
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 // installEntry places a version entry in its chain, growing the chain
