@@ -15,33 +15,54 @@ import (
 
 // The conformance suite: the segment store must provide the Store's
 // semantics — versioning, recovery, torn-tail trimming, compaction
-// crash-safety — under every codec. Each test runs against every
-// configuration in conformanceBackends.
+// crash-safety — under every codec and on both read paths for sealed
+// segments. Each test runs against every configuration in
+// conformanceBackends.
 
 type backendConfig struct {
 	name string
 	opts func(dir string) Options
+	// pread maps no sealed segment, so every read takes the pread
+	// fallback that platforms without mmap use.
+	pread bool
 }
 
 func conformanceBackends() []backendConfig {
+	tiny := func(dir string) Options {
+		return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048}
+	}
+	tinyFlate := func(dir string) Options {
+		return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048, Codec: compress.Flate}
+	}
+	// Tiny segments force frequent roll-over so every test crosses
+	// sealed-segment boundaries. The segment configurations read sealed
+	// segments with pread; the mmap ones through their mappings. Both
+	// read the active segment with pread.
 	return []backendConfig{
-		// Tiny segments force frequent roll-over so every test crosses
-		// sealed-segment boundaries: sealed segments are read through
-		// their mappings, the active segment with pread.
-		{"segment", func(dir string) Options {
-			return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048}
-		}},
-		{"segment-flate", func(dir string) Options {
-			return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048, Codec: compress.Flate}
-		}},
+		{name: "segment", opts: tiny, pread: true},
+		{name: "segment-flate", opts: tinyFlate, pread: true},
+		{name: "mmap", opts: tiny},
+		{name: "mmap-flate", opts: tinyFlate},
 	}
 }
 
 func forEachBackend(t *testing.T, fn func(t *testing.T, bc backendConfig)) {
 	t.Helper()
-	for _, bc := range conformanceBackends() {
+	runBackends(t, conformanceBackends(), fn)
+}
+
+func runBackends(t *testing.T, bcs []backendConfig, fn func(t *testing.T, bc backendConfig)) {
+	t.Helper()
+	for _, bc := range bcs {
 		bc := bc
-		t.Run(bc.name, func(t *testing.T) { fn(t, bc) })
+		t.Run(bc.name, func(t *testing.T) {
+			if bc.pread {
+				prev := mapSegment
+				mapSegment = func(string) ([]byte, error) { return nil, nil }
+				defer func() { mapSegment = prev }()
+			}
+			fn(t, bc)
+		})
 	}
 }
 

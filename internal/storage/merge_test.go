@@ -14,17 +14,21 @@ import (
 	"impliance/internal/storage/compress"
 )
 
-// Delete/tombstone and segment-merge semantics. Merge runs on both
-// codecs; tombstone semantics run on the full conformance matrix.
+// Delete/tombstone and segment-merge semantics. Merge runs on both read
+// paths for sealed segments and both codecs; tombstone semantics run on
+// the full conformance matrix.
 
 func mergeBackends() []backendConfig {
 	return []backendConfig{
-		{"segment", func(dir string) Options {
+		{name: "segment", pread: true, opts: func(dir string) Options {
+			return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048}
+		}},
+		{name: "mmap", opts: func(dir string) Options {
 			return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 2048}
 		}},
 		// Flate shrinks the repetitive test docs ~10×; a smaller segment
 		// threshold keeps the roll-over count comparable.
-		{"segment-flate", func(dir string) Options {
+		{name: "mmap-flate", opts: func(dir string) Options {
 			return Options{Dir: dir, Backend: BackendSegment, SegmentBytes: 512, Codec: compress.Flate}
 		}},
 	}
@@ -32,10 +36,7 @@ func mergeBackends() []backendConfig {
 
 func forEachMergeBackend(t *testing.T, fn func(t *testing.T, bc backendConfig)) {
 	t.Helper()
-	for _, bc := range mergeBackends() {
-		bc := bc
-		t.Run(bc.name, func(t *testing.T) { fn(t, bc) })
-	}
+	runBackends(t, mergeBackends(), fn)
 }
 
 // padToSeal appends enough throwaway documents to roll every earlier

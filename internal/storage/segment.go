@@ -352,6 +352,11 @@ func (s *segmentBackend) ReadAt(loc Locator) ([]byte, error) {
 	return raw, nil
 }
 
+// mapSegment maps a sealed segment read-only. Tests replace it with a
+// function that maps nothing, to run the pread fallback that platforms
+// without mmap take.
+var mapSegment = mmapFile
+
 // source returns a segment's cached read path: the mapping of a sealed
 // segment, built on first use, or else a read-only handle for pread.
 func (s *segmentBackend) source(seg int) ([]byte, *os.File, error) {
@@ -360,7 +365,7 @@ func (s *segmentBackend) source(seg int) ([]byte, *os.File, error) {
 	b, cached := s.maps[seg]
 	if !cached && seg < s.readActive {
 		// The active segment is never negatively cached: it may seal later.
-		if b, _ = mmapFile(s.segPath(seg)); len(b) == 0 {
+		if b, _ = mapSegment(s.segPath(seg)); len(b) == 0 {
 			b = nil
 		}
 		s.maps[seg] = b
